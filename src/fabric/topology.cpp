@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <deque>
 #include <string>
+#include <utility>
 
 #include "obs/obs.hpp"
 
@@ -129,15 +130,6 @@ void Topology::set_fault_plan(const faults::FaultPlan& plan) {
   }
 }
 
-void Topology::schedule(NodeRef from, NodeRef to, sim::SimTime t,
-                        std::function<void()> cb) {
-  if (windowed()) {
-    engine_->post(shard_of(to), t, node_index(from), std::move(cb));
-  } else {
-    sched_.at(t, std::move(cb));
-  }
-}
-
 void Topology::ensure_routes() {
   if (!routes_dirty_) return;
   routes_dirty_ = false;
@@ -253,8 +245,9 @@ void Topology::deliver(const rnic::InFlightMsg& msg, NodeRef from,
                   {"dst", std::to_string(dst)},
                   {"bytes", std::to_string(msg.wire_bytes)}});
   }
-  schedule(from, NodeRef::host(dst), arrive,
-           [target, msg] { target->deliver(msg); });
+  auto fn = [target, msg] { target->deliver(msg); };
+  static_assert(sim::InlineFn::fits<decltype(fn)>);
+  schedule(from, NodeRef::host(dst), arrive, std::move(fn));
 }
 
 void Topology::hop(const rnic::InFlightMsg& msg, NodeRef at, sim::SimTime t) {
@@ -321,8 +314,9 @@ void Topology::hop(const rnic::InFlightMsg& msg, NodeRef at, sim::SimTime t) {
     deliver(msg, at, dst, is_req, t_out, arrive);
   } else {
     const SwitchId sw = next.id;
-    schedule(at, next, arrive,
-             [this, msg, sw, arrive] { hop(msg, NodeRef::sw(sw), arrive); });
+    auto fn = [this, msg, sw, arrive] { hop(msg, NodeRef::sw(sw), arrive); };
+    static_assert(sim::InlineFn::fits<decltype(fn)>);
+    schedule(at, next, arrive, std::move(fn));
   }
 }
 

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "faults/faults.hpp"
@@ -239,11 +240,17 @@ class Topology : public rnic::FabricPort {
   sim::ShardId shard_of(NodeRef n) const {
     return n.is_host() ? host_shard_[n.id] : switches_[n.id].shard;
   }
-  // Schedule `cb` at `t` on `to`'s shard.  `from` is the generating node:
+  // Schedule `fn` at `t` on `to`'s shard.  `from` is the generating node:
   // its topology index keys same-time mailbox ordering, which must not
   // depend on the shard layout.
-  void schedule(NodeRef from, NodeRef to, sim::SimTime t,
-                std::function<void()> cb);
+  template <typename F>
+  void schedule(NodeRef from, NodeRef to, sim::SimTime t, F&& fn) {
+    if (windowed()) {
+      engine_->post(shard_of(to), t, node_index(from), std::forward<F>(fn));
+    } else {
+      sched_.at(t, std::forward<F>(fn));
+    }
+  }
   // The clock a node's lazily-drained state should be refreshed against.
   sim::SimTime node_now(NodeRef n) const {
     return engine_ != nullptr ? engine_->shard(shard_of(n)).now()

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "obs/obs.hpp"
 
@@ -417,7 +418,7 @@ void CompletionStage::process_response(PipelineCtx& ctx,
   // Materialize data movement and notify the verbs layer at CQE time.
   const InFlightMsg m = msg;
   const sim::SimTime t = ctx.t;
-  sched_.at(t, [m, t] {
+  auto fn = [m, t] {
     if (m.kind == InFlightMsg::Kind::kReadResponse &&
         m.requester_local != nullptr && m.responder_data != nullptr) {
       std::memcpy(m.requester_local, m.responder_data, m.op.size);
@@ -429,7 +430,9 @@ void CompletionStage::process_response(PipelineCtx& ctx,
     if (m.sink != nullptr) {
       m.sink->on_completion(m.op.wr_id, m.status, t, m.atomic_result);
     }
-  });
+  };
+  static_assert(sim::InlineFn::fits<decltype(fn)>);
+  sched_.at(t, std::move(fn));
 }
 
 }  // namespace ragnar::rnic::pipeline

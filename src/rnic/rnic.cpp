@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "obs/obs.hpp"
 
@@ -143,9 +144,11 @@ void Rnic::handle_request(InFlightMsg msg, sim::SimTime t) {
   const sim::SimTime admit =
       pipe_.admission().admit(now, msg.op, msg.wire_bytes);
   if (admit > now) {
-    sched_.at(admit, [this, msg, t, admit] {
+    auto fn = [this, msg, t, admit] {
       handle_request_admitted(msg, std::max(t, admit));
-    });
+    };
+    static_assert(sim::InlineFn::fits<decltype(fn)>);
+    sched_.at(admit, std::move(fn));
     return;
   }
   handle_request_admitted(msg, t);

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 
 #include "rnic/control.hpp"
@@ -155,11 +154,12 @@ class Rnic {
   void finish_read_response(InFlightMsg reply);
   void finish_ack(InFlightMsg reply);
   void finish_atomic_response(InFlightMsg reply);
-  void defer(sim::SimTime t, std::function<void()> fn) {
+  template <typename F>
+  void defer(sim::SimTime t, F&& fn) {
     if (t <= sched_.now()) {
       fn();
     } else {
-      sched_.at(t, std::move(fn));
+      sched_.at(t, std::forward<F>(fn));
     }
   }
   void send_reply(InFlightMsg reply, sim::SimTime t);

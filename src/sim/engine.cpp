@@ -54,26 +54,15 @@ void Engine::spawn(Task actor, ShardId s) {
   shards_[s]->sched.spawn(std::move(actor));
 }
 
-void Engine::post(ShardId to, SimTime t, std::uint64_t origin,
-                  std::function<void()> cb) {
-  ShardState* cur = t_exec.state;
-  if (!windowed_ || cur == nullptr) {
-    // Legacy mode, or coordinator code running between windows: schedule
-    // straight into the destination queue (deterministic — one thread).
-    shards_[to]->sched.at(t, std::move(cb));
-    return;
-  }
-  if (t <= window_upto_) {
-    std::fprintf(stderr,
-                 "sim::Engine: lookahead violation — post for t=%llu inside "
-                 "window ending at %llu (lookahead %llu ps). A model path "
-                 "bypassed the fabric's latency floor.\n",
-                 static_cast<unsigned long long>(t),
-                 static_cast<unsigned long long>(window_upto_),
-                 static_cast<unsigned long long>(lookahead_));
-    std::abort();
-  }
-  cur->out.push(to, t, origin, std::move(cb));
+void Engine::lookahead_violation(SimTime t) const {
+  std::fprintf(stderr,
+               "sim::Engine: lookahead violation — post for t=%llu inside "
+               "window ending at %llu (lookahead %llu ps). A model path "
+               "bypassed the fabric's latency floor.\n",
+               static_cast<unsigned long long>(t),
+               static_cast<unsigned long long>(window_upto_),
+               static_cast<unsigned long long>(lookahead_));
+  std::abort();
 }
 
 void Engine::constrain_lookahead(SimDur lat) {
@@ -141,25 +130,20 @@ void Engine::run_windows(SimTime bound, bool bounded,
 
 void Engine::drain_all_mail() {
   const std::uint32_t n = shard_count();
+  auto outbox_of = [this](std::uint32_t s) -> Outbox& {
+    return shards_[s]->out;
+  };
   for (std::uint32_t dest = 0; dest < n; ++dest) {
-    drain_scratch_.clear();
-    for (auto& src : shards_) {
-      auto& row = src->out.row(dest);
-      for (MailSlot& slot : row) drain_scratch_.push_back(std::move(slot));
-      row.clear();
-    }
-    std::stable_sort(drain_scratch_.begin(), drain_scratch_.end(),
-                     [](const MailSlot& a, const MailSlot& b) {
-                       if (a.at != b.at) return a.at < b.at;
-                       return a.origin < b.origin;
-                     });
-    mail_delivered_ += drain_scratch_.size();
+    order_mail_for(n, outbox_of, dest, drain_keys_);
+    mail_delivered_ += drain_keys_.size();
     Scheduler& sched = shards_[dest]->sched;
-    for (MailSlot& slot : drain_scratch_) {
-      sched.at(slot.at, std::move(slot.cb));
+    for (const MailKey& k : drain_keys_) {
+      sched.at(k.at, std::move(outbox_of(k.src).row(dest)[k.idx].cb));
+    }
+    for (std::uint32_t src = 0; src < n; ++src) {
+      outbox_of(src).row(dest).clear();
     }
   }
-  drain_scratch_.clear();
 }
 
 bool Engine::earliest_event(SimTime* t) const {

@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "sim/concurrency.hpp"
@@ -95,14 +96,26 @@ class Engine {
   // effects must flow through the fabric.
   void spawn(Task actor, ShardId s = 0);
 
-  // Schedule `cb` at absolute time `t` on shard `to`.  Called from inside a
+  // Schedule `fn` at absolute time `t` on shard `to`.  Called from inside a
   // window this is mailbox mail: it must respect the lookahead (t no
   // earlier than the end of the current window — violations abort, they
   // mean a model path bypassed the fabric's latency floor).  `origin` is
   // the shard-independent key of the generating node; it decides same-time
-  // delivery order, so it must not depend on the shard layout.
-  void post(ShardId to, SimTime t, std::uint64_t origin,
-            std::function<void()> cb);
+  // delivery order, so it must not depend on the shard layout.  The
+  // callable is built in place (sim::InlineFn) in the destination queue or
+  // the mailbox slot.
+  template <typename F>
+  void post(ShardId to, SimTime t, std::uint64_t origin, F&& fn) {
+    ShardState* cur = t_exec.state;
+    if (!windowed_ || cur == nullptr) {
+      // Legacy mode, or coordinator code running between windows: schedule
+      // straight into the destination queue (deterministic — one thread).
+      shards_[to]->sched.at(t, std::forward<F>(fn));
+      return;
+    }
+    if (t <= window_upto_) lookahead_violation(t);
+    cur->out.push(to, t, origin, std::forward<F>(fn));
+  }
 
   // Tighten the lookahead (clamped to >= 1 ps).  Fabric construction calls
   // this with each link's propagation latency; must happen before running.
@@ -148,6 +161,7 @@ class Engine {
   };
   static thread_local ExecContext t_exec;
 
+  [[noreturn]] void lookahead_violation(SimTime t) const;
   void run_windows(SimTime bound, bool bounded,
                    const std::function<bool()>* pred);
   void drain_all_mail();
@@ -164,7 +178,7 @@ class Engine {
   bool serial_windows_ = false;
   SimDur lookahead_;
   std::vector<std::unique_ptr<ShardState>> shards_;
-  std::vector<MailSlot> drain_scratch_;
+  std::vector<MailKey> drain_keys_;
   std::uint64_t windows_ = 0;
   std::uint64_t mail_delivered_ = 0;
   // Inclusive end of the window being executed; post() validates against it.

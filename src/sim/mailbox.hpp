@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
+#include <utility>
 #include <vector>
 
+#include "sim/inline_fn.hpp"
 #include "sim/time.hpp"
 
 // Cross-shard mail for the windowed engine (docs/ENGINE.md §3).
@@ -21,7 +22,8 @@
 // explicit shard-independent sort key.  Every slot carries the origin key
 // of the node that generated it (plus its push position within that
 // origin, implicit in vector order); the drain concatenates all source
-// rows for a destination and stable-sorts by (time, origin).  Because an
+// rows for a destination and stable-sorts by (time, origin), sorting small
+// position keys (MailKey) rather than the slots themselves.  Because an
 // origin node lives on exactly one shard, the stable sort yields one total
 // order that is a pure function of the event content — the same order
 // whether the topology ran on 1 shard or 16.  See docs/ENGINE.md for why
@@ -32,7 +34,7 @@ namespace ragnar::sim {
 struct MailSlot {
   SimTime at = 0;
   std::uint64_t origin = 0;  // shard-independent generator key (node id)
-  std::function<void()> cb;
+  InlineFn cb;
 };
 
 // One shard's outgoing mail: row per destination shard.
@@ -43,9 +45,12 @@ class Outbox {
     rows_.resize(shard_count);
   }
 
-  void push(std::uint32_t dest, SimTime at, std::uint64_t origin,
-            std::function<void()> cb) {
-    rows_[dest].push_back(MailSlot{at, origin, std::move(cb)});
+  template <typename F>
+  void push(std::uint32_t dest, SimTime at, std::uint64_t origin, F&& fn) {
+    MailSlot& slot = rows_[dest].emplace_back();
+    slot.at = at;
+    slot.origin = origin;
+    slot.cb.emplace(std::forward<F>(fn));
   }
 
   std::vector<MailSlot>& row(std::uint32_t dest) { return rows_[dest]; }
@@ -64,23 +69,38 @@ class Outbox {
   std::vector<std::vector<MailSlot>> rows_;
 };
 
-// Collect every source's row for destination `dest` into `scratch` in the
-// canonical order: concatenate by source shard, then stable-sort by
-// (time, origin).  Clears the drained rows.
-template <typename OutboxRange>
-void drain_mail_for(OutboxRange& outboxes, std::uint32_t dest,
-                    std::vector<MailSlot>& scratch) {
-  scratch.clear();
-  for (auto& box : outboxes) {
-    auto& row = box.row(dest);
-    for (MailSlot& slot : row) scratch.push_back(std::move(slot));
-    row.clear();
+// Where one slot sits in the canonical drain order.  (src, idx) is the
+// slot's position in the by-source-shard concatenation, so a plain sort on
+// the whole key is the stable sort by (time, origin) over that
+// concatenation — computed on 24-byte keys while the slots, callables and
+// all, stay in their rows.
+struct MailKey {
+  SimTime at;
+  std::uint64_t origin;
+  std::uint32_t src;  // source shard
+  std::uint32_t idx;  // push position within the source row
+  bool operator<(const MailKey& o) const {
+    if (at != o.at) return at < o.at;
+    if (origin != o.origin) return origin < o.origin;
+    if (src != o.src) return src < o.src;
+    return idx < o.idx;
   }
-  std::stable_sort(scratch.begin(), scratch.end(),
-                   [](const MailSlot& a, const MailSlot& b) {
-                     if (a.at != b.at) return a.at < b.at;
-                     return a.origin < b.origin;
-                   });
+};
+
+// Fill `keys` with the canonical delivery order of every source's row for
+// destination `dest`; `outbox_of(s)` names source shard s's Outbox.  The
+// rows are left intact for the caller to consume and clear.
+template <typename OutboxOf>
+void order_mail_for(std::uint32_t sources, OutboxOf&& outbox_of,
+                    std::uint32_t dest, std::vector<MailKey>& keys) {
+  keys.clear();
+  for (std::uint32_t src = 0; src < sources; ++src) {
+    const std::vector<MailSlot>& row = outbox_of(src).row(dest);
+    for (std::uint32_t i = 0; i < row.size(); ++i) {
+      keys.push_back(MailKey{row[i].at, row[i].origin, src, i});
+    }
+  }
+  std::sort(keys.begin(), keys.end());
 }
 
 }  // namespace ragnar::sim

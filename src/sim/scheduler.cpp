@@ -15,17 +15,17 @@ Scheduler::~Scheduler() {
   tasks_.clear();
 }
 
-void Scheduler::at(SimTime t, std::function<void()> cb) {
-  queue_.push(std::max(t, now_), std::move(cb));
+void Scheduler::note_past_clamp() {
+  ++past_clamps_;
+  total_past_clamps_.fetch_add(1, std::memory_order_relaxed);
 }
 
 bool Scheduler::step() {
   if (queue_.empty()) return false;
-  SimTime at = 0;
-  auto cb = queue_.pop(&at);
-  now_ = at;
-  ++events_processed_;
-  cb();
+  queue_.run_next([this](SimTime at) {
+    now_ = at;
+    ++events_processed_;
+  });
   // Amortized cleanup of completed actor coroutines.
   if ((events_processed_ & 0xfff) == 0) reap_finished_tasks();
   return true;

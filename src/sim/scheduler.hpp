@@ -1,8 +1,10 @@
 #pragma once
 
+#include <atomic>
 #include <coroutine>
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -24,10 +26,30 @@ class Scheduler {
 
   SimTime now() const { return now_; }
 
-  // Schedule a callback at an absolute / relative time.  Scheduling in the
-  // past is an error in the model; it is clamped to `now` to stay safe.
-  void at(SimTime t, std::function<void()> cb);
-  void after(SimDur d, std::function<void()> cb) { at(now_ + d, std::move(cb)); }
+  // Schedule a callable at an absolute / relative time.  The callable is
+  // built in place in the event queue's slab (sim::InlineFn): a capture of
+  // up to 160 bytes costs no allocation.  Scheduling in the past is an
+  // error in the model; it is clamped to `now` and counted in
+  // past_clamps().
+  template <typename F>
+  void at(SimTime t, F&& fn) {
+    if (t < now_) [[unlikely]] {
+      note_past_clamp();
+      t = now_;
+    }
+    queue_.push(t, std::forward<F>(fn));
+  }
+  template <typename F>
+  void after(SimDur d, F&& fn) {
+    at(now_ + d, std::forward<F>(fn));
+  }
+
+  // at() calls clamped to `now` on this scheduler / on every scheduler of
+  // the process (the latter lets a test check a whole scenario run).
+  std::uint64_t past_clamps() const { return past_clamps_; }
+  static std::uint64_t total_past_clamps() {
+    return total_past_clamps_.load(std::memory_order_relaxed);
+  }
 
   // Run one event.  Returns false when the queue is empty.
   bool step();
@@ -67,10 +89,13 @@ class Scheduler {
 
  private:
   void reap_finished_tasks();
+  void note_past_clamp();
 
   EventQueue queue_;
   SimTime now_ = 0;
   std::uint64_t events_processed_ = 0;
+  std::uint64_t past_clamps_ = 0;
+  static inline std::atomic<std::uint64_t> total_past_clamps_{0};
   std::vector<Task> tasks_;
 };
 

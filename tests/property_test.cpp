@@ -111,6 +111,51 @@ TEST(Property, EventQueueDrainsInSortedStableOrder) {
   for (std::size_t i = 0; i < ref.size(); ++i) EXPECT_EQ(fired[i], ref[i].seq);
 }
 
+// Pushes and pops interleaved the way a simulation drives the queue (new
+// events at or after the last popped time, many ties), so freed slab slots
+// are reused while older events are still pending.  Every pop must match
+// the earliest pending event of a reference list kept in (at, push order)
+// by std::stable_sort.
+TEST(Property, EventQueueInterleavedMatchesStableSortReference) {
+  sim::Xoshiro256 rng(108);
+  sim::EventQueue q;
+  struct Ref {
+    sim::SimTime at;
+    int seq;
+  };
+  std::vector<Ref> pending;
+  std::vector<int> fired;
+  sim::SimTime now = 0;
+  int next = 0;
+  std::size_t max_depth = 0;
+  for (int op = 0; op < 20000; ++op) {
+    // Drift between push-heavy and pop-heavy phases so depth swings.
+    const bool push_phase = (op / 1000) % 2 == 0;
+    const bool push = pending.empty() ||
+                      rng.uniform_u64(100) < (push_phase ? 70u : 35u);
+    if (push) {
+      const sim::SimTime at = now + rng.uniform_u64(64);
+      const int id = next++;
+      pending.push_back({at, id});
+      q.push(at, [&fired, id] { fired.push_back(id); });
+      max_depth = std::max(max_depth, pending.size());
+    } else {
+      std::stable_sort(pending.begin(), pending.end(),
+                       [](const Ref& a, const Ref& b) { return a.at < b.at; });
+      const Ref want = pending.front();
+      pending.erase(pending.begin());
+      sim::SimTime at = 0;
+      q.pop(&at)();
+      ASSERT_EQ(at, want.at);
+      ASSERT_EQ(fired.back(), want.seq);
+      now = at;
+    }
+    ASSERT_EQ(q.size(), pending.size());
+  }
+  EXPECT_GT(max_depth, 100u);
+  EXPECT_GT(fired.size(), 5000u);
+}
+
 // --- translation unit properties --------------------------------------------
 
 TEST(Property, StaticReadCost2048Periodicity) {

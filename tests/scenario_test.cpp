@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "scenario/cli.hpp"
 #include "scenario/scenario.hpp"
+#include "sim/scheduler.hpp"
 
 // The scenario registry + ragnar CLI contract (see docs/SCENARIOS.md):
 // every former bench binary is a registered scenario, unknown names fail
@@ -147,12 +149,15 @@ paper shape: different-MR ULI > same-MR ULI at every size (MR context switch), g
 )golden";
 
 TEST(Cli, RunMatchesPreRefactorGoldenByteForByte) {
+  const std::uint64_t clamps_before = sim::Scheduler::total_past_clamps();
   testing::internal::CaptureStdout();
   testing::internal::CaptureStderr();
   const int rc = cli({"run", "fig05_uli_inter_mr"});
   const std::string out = testing::internal::GetCapturedStdout();
   testing::internal::GetCapturedStderr();
   EXPECT_EQ(rc, 0);
+  // The model never schedules into the past on this path.
+  EXPECT_EQ(sim::Scheduler::total_past_clamps(), clamps_before);
   EXPECT_EQ(out, kFig05QuickGolden);
 }
 
@@ -190,12 +195,15 @@ paper shape: drops at 8 B alignment, bigger drops at 64 B multiples, 2048 B sawt
 )golden";
 
 TEST(Cli, Fig06OffsetSweepMatchesPreRefactorGolden) {
+  const std::uint64_t clamps_before = sim::Scheduler::total_past_clamps();
   testing::internal::CaptureStdout();
   testing::internal::CaptureStderr();
   const int rc = cli({"run", "fig06_offset_abs_64"});
   const std::string out = testing::internal::GetCapturedStdout();
   testing::internal::GetCapturedStderr();
   EXPECT_EQ(rc, 0);
+  // The model never schedules into the past on this path.
+  EXPECT_EQ(sim::Scheduler::total_past_clamps(), clamps_before);
   EXPECT_EQ(out, kFig06QuickGolden);
 }
 
@@ -239,12 +247,15 @@ obs4 write vs reverse-read dynamics differ:    PASS (W-vs-W keeps 50%, W-vs-revR
 )golden";
 
 TEST(Cli, Fig04PriorityMatrixMatchesPreRefactorGolden) {
+  const std::uint64_t clamps_before = sim::Scheduler::total_past_clamps();
   testing::internal::CaptureStdout();
   testing::internal::CaptureStderr();
   const int rc = cli({"run", "fig04_priority_matrix"});
   const std::string out = testing::internal::GetCapturedStdout();
   testing::internal::GetCapturedStderr();
   EXPECT_EQ(rc, 0);
+  // The model never schedules into the past on this path.
+  EXPECT_EQ(sim::Scheduler::total_past_clamps(), clamps_before);
   EXPECT_EQ(out, kFig04QuickGolden);
 }
 

@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "sim/coro.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/flat_map.hpp"
+#include "sim/inline_fn.hpp"
 #include "sim/random.hpp"
 #include "sim/resource.hpp"
 #include "sim/scheduler.hpp"
@@ -271,6 +274,116 @@ TEST(EventQueue, ClearResetsToFreshState) {
   EXPECT_EQ(fresh_order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
 }
 
+// A callable that records how often each capture id is destroyed while
+// live (moved-from shells do not count).  `Pad` bytes of ballast push the
+// capture past InlineFn's inline budget onto the boxed path.
+template <std::size_t Pad>
+struct Counted {
+  std::vector<int>* destroyed;
+  std::vector<int>* fired;
+  int id;
+  bool live = true;
+  unsigned char pad[Pad] = {};
+
+  Counted(std::vector<int>* d, std::vector<int>* f, int i)
+      : destroyed(d), fired(f), id(i) {}
+  Counted(Counted&& o) noexcept
+      : destroyed(o.destroyed), fired(o.fired), id(o.id), live(o.live) {
+    o.live = false;
+  }
+  Counted(const Counted&) = delete;
+  ~Counted() {
+    if (live) ++(*destroyed)[id];
+  }
+  void operator()() { fired->push_back(id); }
+};
+using SmallCapture = Counted<1>;
+using BigCapture = Counted<InlineFn::kInlineBytes>;
+static_assert(InlineFn::fits<SmallCapture>);
+static_assert(!InlineFn::fits<BigCapture>);
+
+TEST(EventQueue, EveryCaptureIsDestroyedExactlyOnce) {
+  std::vector<int> destroyed(40, 0), fired;
+  {
+    EventQueue q;
+    for (int i = 0; i < 20; ++i) {
+      q.push(static_cast<SimTime>(i), SmallCapture(&destroyed, &fired, i));
+      q.push(static_cast<SimTime>(i),
+             BigCapture(&destroyed, &fired, 20 + i));
+    }
+    // Leave by pop: the returned callable dies with the full expression.
+    for (int i = 0; i < 6; ++i) q.pop(nullptr)();
+    // Leave by run_next: destroyed in its slot right after it runs.
+    for (int i = 0; i < 6; ++i) q.run_next([](SimTime) {});
+    EXPECT_EQ(fired, (std::vector<int>{0, 20, 1, 21, 2, 22, 3, 23, 4, 24, 5,
+                                       25}));
+    for (int i : fired) EXPECT_EQ(destroyed[i], 1) << "id " << i;
+    // Leave by clear(): every pending capture dies without running.
+    q.clear();
+    for (int d : destroyed) EXPECT_EQ(d, 1);
+    // Freed slots are reused; these die with the queue itself.
+    for (int i = 0; i < 3; ++i) {
+      q.push(0, SmallCapture(&destroyed, &fired, i));
+    }
+  }
+  EXPECT_EQ(fired.size(), 12u);
+  for (int i = 0; i < 40; ++i) {
+    EXPECT_EQ(destroyed[i], i < 3 ? 2 : 1) << "id " << i;
+  }
+}
+
+TEST(Scheduler, PendingCapturesDieWithTheScheduler) {
+  std::vector<int> destroyed(20, 0), fired;
+  {
+    Scheduler s;
+    for (int i = 0; i < 10; ++i) {
+      s.at(us(i), SmallCapture(&destroyed, &fired, i));
+      s.at(us(i), BigCapture(&destroyed, &fired, 10 + i));
+    }
+    s.run_until(us(4));
+    EXPECT_EQ(fired.size(), 10u);
+    EXPECT_EQ(s.pending(), 10u);
+  }
+  for (int d : destroyed) EXPECT_EQ(d, 1);
+}
+
+TEST(EventQueue, OversizedCaptureIsBoxedAndKeepsOrder) {
+  // Interleave inline and boxed callables on the same timestamps: the boxed
+  // path must not disturb (at, seq) order.
+  std::vector<int> destroyed(12, 0), fired;
+  EventQueue q;
+  for (int i = 0; i < 12; ++i) {
+    const SimTime at = 10 - static_cast<SimTime>(i / 4) * 5;  // 10, 5, 0
+    if (i % 2 == 0) {
+      q.push(at, BigCapture(&destroyed, &fired, i));
+    } else {
+      q.push(at, SmallCapture(&destroyed, &fired, i));
+    }
+  }
+  SimTime last = 0;
+  while (!q.empty()) {
+    SimTime at = 0;
+    q.pop(&at)();
+    EXPECT_GE(at, last);
+    last = at;
+  }
+  EXPECT_EQ(fired,
+            (std::vector<int>{8, 9, 10, 11, 4, 5, 6, 7, 0, 1, 2, 3}));
+  for (int d : destroyed) EXPECT_EQ(d, 1);
+}
+
+TEST(EventQueue, AcceptsMoveOnlyCapture) {
+  Scheduler s;
+  int seen = 0;
+  auto owned = std::make_unique<int>(42);
+  s.after(ns(5), [&seen, p = std::move(owned)] { seen = *p; });
+  InlineFn fn([p = std::make_unique<int>(7), &seen] { seen += *p; });
+  s.after(ns(6), std::move(fn));
+  EXPECT_FALSE(fn);  // a moved-from InlineFn is empty
+  s.run_until_idle();
+  EXPECT_EQ(seen, 49);
+}
+
 TEST(Scheduler, AdvancesClock) {
   Scheduler s;
   SimTime seen = 0;
@@ -299,6 +412,21 @@ TEST(Scheduler, PastSchedulingClamps) {
     s.at(us(1), [&] { EXPECT_GE(s.now(), us(3)); });
   });
   s.run_until_idle();
+}
+
+TEST(Scheduler, PastAtRunsAtNowAndIsCounted) {
+  Scheduler s;
+  const std::uint64_t total_before = Scheduler::total_past_clamps();
+  s.run_until(us(10));
+  s.at(us(10), [] {});  // exactly now: not a clamp
+  EXPECT_EQ(s.past_clamps(), 0u);
+  SimTime ran_at = 0;
+  s.at(us(3), [&] { ran_at = s.now(); });
+  EXPECT_EQ(s.past_clamps(), 1u);
+  s.run_until_idle();
+  EXPECT_EQ(ran_at, us(10));
+  EXPECT_EQ(s.now(), us(10));
+  EXPECT_EQ(Scheduler::total_past_clamps() - total_before, 1u);
 }
 
 TEST(Coro, SleepSequence) {
