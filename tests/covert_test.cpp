@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "covert/common.hpp"
 #include "covert/priority_channel.hpp"
 #include "covert/pythia_channel.hpp"
@@ -98,12 +100,19 @@ TEST(UliChannels, IntraMrRoundTripClean) {
   EXPECT_GT(run.raw_bps(), 20e3);
 }
 
+// gtest prints a ChannelCase as its raw bytes and ctest names each case after
+// that dump, so the padding after the two enums is spelled out and zeroed: the
+// names then carry no stack garbage and stay the same from build to build.
 struct ChannelCase {
+  ChannelCase(rnic::DeviceModel m, UliChannelKind k, double kbps, double err)
+      : model(m), kind(k), min_kbps(kbps), max_err(err) {}
   rnic::DeviceModel model;
   UliChannelKind kind;
+  std::uint8_t zero_pad[6] = {};
   double min_kbps;   // loose floor, paper Table V shape
   double max_err;
 };
+static_assert(sizeof(ChannelCase) == 24, "no implicit padding left");
 
 class UliChannelMatrix : public ::testing::TestWithParam<ChannelCase> {};
 
