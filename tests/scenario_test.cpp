@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -87,6 +88,24 @@ TEST(Registry, OnlySimMicrobenchIsNondeterministic) {
               std::string(s->name) != "sim_microbench")
         << s->name;
   }
+}
+
+// tests/scenario_digests.txt pins the stdout of exactly the deterministic
+// scenarios (one digest.<name> ctest each): a new scenario is not done
+// until its output is pinned.
+TEST(Registry, EveryDeterministicScenarioHasAPinnedDigest) {
+  std::ifstream in(RAGNAR_SCENARIO_DIGESTS);
+  ASSERT_TRUE(in) << RAGNAR_SCENARIO_DIGESTS;
+  std::vector<std::string> pinned;
+  for (std::string line; std::getline(in, line);) {
+    if (line.empty() || line[0] == '#') continue;
+    pinned.push_back(line.substr(0, line.find(' ')));
+  }
+  std::vector<std::string> deterministic;
+  for (const Scenario* s : Registry::instance().all()) {
+    if (s->deterministic_output) deterministic.push_back(s->name);
+  }
+  EXPECT_EQ(pinned, deterministic);
 }
 
 TEST(Cli, ListShowsEveryScenario) {
