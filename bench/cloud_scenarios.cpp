@@ -1,7 +1,7 @@
 // cloud_* scenario family: volatile channels that live in the *network*
 // rather than on the NIC.  Both scenarios build a switched fabric::Topology
-// (ToR model, shared egress buffer pool, PFC) that the point-to-point
-// Fabric facade cannot express:
+// (ToR model, shared egress buffer pool, PFC) that the testbed's direct
+// host mesh cannot express:
 //
 //   cloud_bankrupt        covert signalling through shared switch queueing
 //                         between two tenants whose flows never share a NIC
@@ -275,10 +275,9 @@ PhaseResult run_phase(std::uint64_t seed, bool hog_on, double hog_cap_gbps,
   Conn hog2 = connect(*ctx[2], server, 1, qp);
 
   if (hog_cap_gbps > 0) {
-    rnic::RuntimeConfig cfg = server.device().runtime_config();
-    cfg.tenant_caps_gbps[ctx[1]->device().node()] = hog_cap_gbps;
-    cfg.tenant_caps_gbps[ctx[2]->device().node()] = hog_cap_gbps;
-    server.device().configure(cfg);
+    rnic::ControlPort& control = server.device().control();
+    control.set_tenant_cap(ctx[1]->device().node(), hog_cap_gbps);
+    control.set_tenant_cap(ctx[2]->device().node(), hog_cap_gbps);
   }
 
   constexpr std::uint32_t kVictimBytes = 4u << 10;

@@ -175,9 +175,7 @@ struct AttackRig {
       // The enforcement arm: cap the flagged tenant at the receiving NIC
       // (RxAdmission pacing), the same lever cloud_noisy_neighbor's defense
       // phase uses.
-      rnic::RuntimeConfig cfg = ctx[2]->device().runtime_config();
-      cfg.tenant_caps_gbps[sender_id] = sender_cap_gbps;
-      ctx[2]->device().configure(cfg);
+      ctx[2]->device().control().set_tenant_cap(sender_id, sender_cap_gbps);
     }
   }
 

@@ -1,39 +1,12 @@
 #include "defense/harmonic.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdio>
 
 namespace ragnar::defense {
 
 HarmonicMonitor::HarmonicMonitor(sim::Scheduler& sched, rnic::Rnic& dev,
                                  sim::SimDur window, HarmonicPolicy policy)
     : sched_(sched), dev_(dev), window_(window), policy_(policy) {}
-
-void HarmonicMonitor::enable_enforcement(double throttle_gbps,
-                                         std::size_t clean_windows_to_lift) {
-  if (enforcer_ == nullptr) {
-    // Direct-mutation era shim: nobody attached a ControlPort, so wire the
-    // monitored device's own port through a private Enforcer.
-    static std::atomic_flag warned = ATOMIC_FLAG_INIT;
-    if (!warned.test_and_set(std::memory_order_relaxed)) {
-      std::fprintf(stderr,
-                   "[harmonic] note: enable_enforcement called without an "
-                   "attached ControlPort; auto-attaching the monitored "
-                   "device's own control port through a private "
-                   "defense::Enforcer. Attach an Enforcer explicitly to "
-                   "drive enforcement across devices or detectors. (note "
-                   "shown once per run)\n");
-    }
-    owned_ = std::make_unique<Enforcer>(
-        EnforcerPolicy{throttle_gbps, clean_windows_to_lift});
-    owned_->attach(&dev_.control());
-    enforcer_ = owned_.get();
-    drive_windows_ = true;
-    return;
-  }
-  // An enforcer is already attached; enforcement is configured there.
-}
 
 void HarmonicMonitor::start() {
   if (running_) return;
@@ -82,8 +55,7 @@ void HarmonicMonitor::tick() {
     v.grain1 = v.gbps > policy_.grain1_gbps_cap;
     v.grain2 = peak > policy_.grain2_stream_mpps_cap ||
                atomic_mpps > policy_.grain2_atomic_mpps_cap;
-    v.grain3 = v.distinct_rkeys > policy_.grain3_rkey_cap ||
-               v.distinct_qps > policy_.grain3_qp_cap;
+    v.grain3 = policy_.grain3(v.distinct_rkeys, v.distinct_qps);
     verdicts_.push_back(v);
 
     if (enforcer_ != nullptr) enforcer_->observe(v.to_verdict(now));

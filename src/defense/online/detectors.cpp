@@ -112,8 +112,7 @@ TenantScore TenantState::score(rnic::NodeId src,
   out.grain2 = grain2;
   out.distinct_rkeys = std::max(peak_rkeys_, rkeys_.size());
   out.distinct_qps = std::max(peak_qpns_, qpns_.size());
-  out.grain3 = out.distinct_rkeys > cfg.grain3_rkey_cap ||
-               out.distinct_qps > cfg.grain3_qp_cap;
+  out.grain3 = cfg.grain3(out.distinct_rkeys, out.distinct_qps);
   out.periodicity =
       std::max(modulation_score(byte_rate_.series(), cfg.grain4_min_cv),
                modulation_score(msg_rate_.series(), cfg.grain4_min_cv));

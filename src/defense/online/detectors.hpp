@@ -31,7 +31,7 @@
 //     the two: amplitude modulation randomizes bytes but not cadence).
 namespace ragnar::defense::online {
 
-struct OnlineConfig {
+struct OnlineConfig : GrainCaps {
   // Rate-estimator geometry: per-tenant rings of `bins` x `bin_width`.
   sim::SimDur bin_width = sim::us(20);
   std::size_t bins = 256;
@@ -42,11 +42,8 @@ struct OnlineConfig {
   std::size_t max_resources_per_tenant = 256;
   double sketch_eps = 0.02;
   std::size_t sketch_max_tuples = 512;
-  // Alarm thresholds (the defense_online scenario sweeps grain4_threshold).
-  double grain2_stream_mpps_cap = 6.0;
-  double grain2_atomic_mpps_cap = 1.0;
-  std::size_t grain3_rkey_cap = 16;
-  std::size_t grain3_qp_cap = 128;
+  // Grain-IV alarm threshold (the defense_online scenario sweeps it); the
+  // Grain-II/III caps come from GrainCaps.
   double grain4_threshold = 0.5;
   // Modulation-depth gate for Grain-IV: the autocorrelation score is scaled
   // by min(1, cv / grain4_min_cv) where cv is the series' coefficient of

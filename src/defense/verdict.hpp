@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "rnic/op.hpp"
@@ -39,6 +40,20 @@ struct Verdict {
   double score = 0;
 
   bool flagged() const { return grain1 || grain2 || grain3 || grain4; }
+};
+
+// The Grain-II/III alarm caps, shared by both detector generations
+// (HarmonicPolicy and online::OnlineConfig inherit them).
+struct GrainCaps {
+  double grain2_stream_mpps_cap = 6.0;  // per (opcode, size-class) stream
+  double grain2_atomic_mpps_cap = 1.0;  // atomics are priced separately
+  std::size_t grain3_rkey_cap = 16;
+  std::size_t grain3_qp_cap = 128;
+
+  // Grain-III: resource churn — too many distinct rkeys or QPs per window.
+  bool grain3(std::size_t rkeys, std::size_t qps) const {
+    return rkeys > grain3_rkey_cap || qps > grain3_qp_cap;
+  }
 };
 
 }  // namespace ragnar::defense

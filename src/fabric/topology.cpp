@@ -484,20 +484,6 @@ const SwitchStats& Topology::switch_stats(SwitchId sw) {
   return s.stats;
 }
 
-Topology::Builder& Topology::Builder::point_to_point(
-    const rnic::DeviceProfile& prof_a, sim::Xoshiro256 rng_a,
-    const rnic::DeviceProfile& prof_b, sim::Xoshiro256 rng_b) {
-  const sim::SimDur lat_a = prof_a.wire_lat;
-  const sim::SimDur lat_b = prof_b.wire_lat;
-  const rnic::NodeId a = topo_->add_host(prof_a, rng_a);
-  const rnic::NodeId b = topo_->add_host(prof_b, rng_b);
-  LinkSpec spec;
-  spec.lat_ab = lat_a;  // requests stamped with the requester's latency
-  spec.lat_ba = lat_b;
-  topo_->link(NodeRef::host(a), NodeRef::host(b), spec);
-  return *this;
-}
-
 std::unique_ptr<Topology> Topology::Builder::build() {
   topo_->ensure_routes();
   // Fail loudly on a partitioned graph: every host must reach every other

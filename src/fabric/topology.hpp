@@ -58,9 +58,8 @@
 // nothing changes: events are scheduled directly and runs stay
 // byte-identical to the pre-engine fabric.
 //
-// The legacy two-host/one-link fabric survives as the `Fabric` facade
-// (fabric.hpp): a Topology of pairwise direct host links whose delivery
-// path is byte-identical to the pre-topology point-to-point fabric.
+// revng::Testbed builds the pre-topology point-to-point fabric as pairwise
+// direct host links, whose delivery path is byte-identical to it.
 namespace ragnar::fabric {
 
 using LinkId = faults::LinkId;
@@ -81,9 +80,9 @@ struct NodeRef {
   friend bool operator==(const NodeRef&, const NodeRef&) = default;
 };
 
-// One link between two nodes.  Propagation is directional so the legacy
-// facade can keep its per-sender wire latency (requests stamped with the
-// requester's latency, replies with the responder's).
+// One link between two nodes.  Propagation is directional so a direct
+// host link can carry each sender's wire latency (requests stamped with
+// the requester's latency, replies with the responder's).
 struct LinkSpec {
   sim::SimDur lat_ab = 0;  // propagation a -> b
   sim::SimDur lat_ba = 0;  // propagation b -> a
@@ -132,7 +131,7 @@ class Topology : public rnic::FabricPort {
   // rnic::FabricPort: a device puts a message on the wire at `depart`.
   void transmit(const rnic::InFlightMsg& msg, sim::SimTime depart) override;
 
-  // --- construction (Builder and the Fabric facade call these) -----------
+  // --- construction (Builder and revng::Testbed call these) --------------
   // Create an RNIC attached to this topology, pinned to `shard` (ignored
   // without an engine).  The topology owns the device; the returned id
   // indexes host().
@@ -315,14 +314,6 @@ class Topology::Builder {
     topo_->link(a, b, spec);
     return *this;
   }
-
-  // The legacy two-node fabric (what `Fabric f; f.add_device() x2` built
-  // before the topology existed) as a single Builder call: two hosts joined
-  // by one direct link carrying each sender's profile wire latency.
-  Builder& point_to_point(const rnic::DeviceProfile& prof_a,
-                          sim::Xoshiro256 rng_a,
-                          const rnic::DeviceProfile& prof_b,
-                          sim::Xoshiro256 rng_b);
 
   std::unique_ptr<Topology> build();
 

@@ -72,9 +72,8 @@ enum class QpStreamEvent : std::uint32_t {
 
 // aux codes for kEnforcement.
 enum class EnforcementEvent : std::uint32_t {
-  kLift = 0,         // per-tenant cap removed
-  kApply = 1,        // per-tenant cap installed / replaced
-  kEtsReweight = 2,  // egress ETS share changed (key low bits = TC)
+  kLift = 0,   // per-tenant cap removed
+  kApply = 1,  // per-tenant cap installed / replaced
 };
 
 struct StreamSample {

@@ -11,13 +11,23 @@ Testbed::Testbed(rnic::DeviceModel model, std::uint64_t seed,
 Testbed::Testbed(const rnic::DeviceProfile& profile, std::uint64_t seed,
                  std::size_t clients)
     : model_(profile.model), rng_(seed), fabric_(engine_) {
-  rnic::Rnic* sdev = fabric_.add_device(profile, rng_.fork());
-  server_ = std::make_unique<verbs::Context>(fabric_, sdev, "server");
+  server_ = std::make_unique<verbs::Context>(fabric_, add_host(profile),
+                                             "server");
   for (std::size_t i = 0; i < clients; ++i) {
-    rnic::Rnic* cdev = fabric_.add_device(profile, rng_.fork());
     clients_.push_back(std::make_unique<verbs::Context>(
-        fabric_, cdev, "client" + std::to_string(i)));
+        fabric_, add_host(profile), "client" + std::to_string(i)));
   }
+}
+
+rnic::Rnic* Testbed::add_host(const rnic::DeviceProfile& profile) {
+  const rnic::NodeId id = fabric_.add_host(profile, rng_.fork());
+  // One direct link to every earlier host.  Every host shares `profile`,
+  // so both directions carry the same (sender's) wire latency.
+  const auto spec = fabric::LinkSpec::symmetric(profile.wire_lat);
+  for (rnic::NodeId other = 0; other < id; ++other) {
+    fabric_.link(fabric::NodeRef::host(other), fabric::NodeRef::host(id), spec);
+  }
+  return fabric_.host(id);
 }
 
 Testbed::Connection Testbed::connect(std::size_t client_idx,

@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "fabric/fabric.hpp"
+#include "fabric/topology.hpp"
 #include "rnic/device_profile.hpp"
 #include "sim/engine.hpp"
 #include "sim/random.hpp"
@@ -16,6 +16,13 @@
 // in-memory data behind an RNIC, plus N client hosts (victim, attacker, ...)
 // reaching it through the fabric.  All experiments and attacks build on
 // this.
+//
+// The fabric is a fabric::Topology of pairwise direct host-host links (no
+// switches): direct links take the topology's single-event delivery path,
+// and each direction carries the *sender's* profile wire latency (requests
+// stamped with the requester's latency, replies with the responder's).
+// Experiments that need switches, shared buffers or PFC build a Topology
+// directly (Topology::Builder).
 namespace ragnar::revng {
 
 class Testbed {
@@ -36,7 +43,7 @@ class Testbed {
   // that single shard's scheduler.
   sim::Engine& engine() { return engine_; }
   sim::Scheduler& sched() { return engine_.legacy_scheduler(); }
-  fabric::Fabric& fabric() { return fabric_; }
+  fabric::Topology& fabric() { return fabric_; }
   rnic::DeviceModel model() const { return model_; }
   const rnic::DeviceProfile& profile() const {
     return server_->device().profile();
@@ -74,10 +81,13 @@ class Testbed {
                      std::uint64_t client_buf_len = 1u << 20);
 
  private:
+  // Adds a host to the direct mesh, linked to every host added before it.
+  rnic::Rnic* add_host(const rnic::DeviceProfile& profile);
+
   rnic::DeviceModel model_;
   sim::Xoshiro256 rng_;
   sim::Engine engine_;
-  fabric::Fabric fabric_;
+  fabric::Topology fabric_;
   std::unique_ptr<verbs::Context> server_;
   std::vector<std::unique_ptr<verbs::Context>> clients_;
 };

@@ -9,15 +9,15 @@
 
 // The runtime control plane of one device (docs/DEFENSE.md §closed loop).
 //
-// Rnic::configure() applies a whole RuntimeConfig atomically — the right
-// shape for construction-time tuning, and the wrong one for a defense that
-// must flip a single tenant's throttle in the middle of a run without
-// re-stating every other knob.  A ControlPort is the per-knob seam: typed
-// scheduled-time operations against the live pipeline stages (RxAdmission
-// tenant caps, WireEgress/TxArbiter ETS shares), each taking effect for the
-// next message the stage admits, each leaving an EnforcementAction sample
-// on the streaming sink so closed-loop runs stay observable under the
-// sharded engine's sink merge.
+// Rnic::configure() applies the device-wide RuntimeConfig knobs atomically
+// — the right shape for construction-time tuning, and the wrong one for a
+// defense that must flip a single tenant's throttle in the middle of a run
+// without re-stating every other knob.  A ControlPort is the per-tenant
+// seam, and the only way to write a tenant cap: typed scheduled-time
+// operations against the live RxAdmission stage, each taking effect for
+// the next message it admits, each leaving an EnforcementAction sample on
+// the streaming sink so closed-loop runs stay observable under the sharded
+// engine's sink merge.
 //
 // The port is deliberately narrow: an Enforcer (defense/enforcer.hpp) — or
 // a test — drives it; it never reads traffic.  snapshot() is the read side,
@@ -32,8 +32,6 @@ struct ControlSnapshot {
   bool tdm = false;               // partitioned-mode admission slots
   // Live per-tenant throttles, ascending NodeId (FlatMap order).
   std::vector<std::pair<NodeId, double>> tenant_caps;
-  // Per-TC ETS weight percentages on the egress side.
-  std::vector<double> ets_weight_pct;
   // Lifetime control-op counters for this port.
   std::uint64_t caps_applied = 0;
   std::uint64_t caps_cleared = 0;
@@ -61,10 +59,6 @@ class ControlPort {
   // Remove the per-tenant throttle; `src` falls back to the global pacing
   // floor (or unpaced admission when none is configured).
   virtual void clear_tenant_cap(NodeId src) = 0;
-
-  // Runtime ETS reweighting on the Tx side: set one traffic class's weight
-  // percentage and re-derive the per-TC pacer rates.
-  virtual void set_tx_ets_share(std::uint8_t tc, double weight_pct) = 0;
 
   // Live control-plane state at the current simulated time.
   virtual ControlSnapshot snapshot() const = 0;

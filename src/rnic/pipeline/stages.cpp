@@ -260,14 +260,6 @@ sim::FlatMap<NodeId, SrcWindowStats> RxAdmission::take_stats() {
   return out;
 }
 
-void RxAdmission::configure_caps(
-    const std::unordered_map<NodeId, double>& caps) {
-  tenant_caps_.clear();
-  for (const auto& [src, cap] : caps) {
-    if (cap > 0) tenant_caps_[src] = cap;
-  }
-}
-
 // ------------------------------------------------------------- rx dispatch
 
 RxDispatch::RxDispatch(const RxDispatchConfig& cfg, WireEgress& egress,

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "rnic/counters.hpp"
@@ -173,14 +172,11 @@ class RxAdmission final : public Stage {
 
   // Runtime knobs (applied atomically through Rnic::configure()).
   void configure_pacing(double gbps) { tenant_pacing_gbps_ = gbps; }
-  void configure_caps(const std::unordered_map<NodeId, double>& caps);
   void set_tdm(bool on) { tdm_ = on; }
 
   // Per-tenant scheduled-time cap mutation (rnic::ControlPort): the next
-  // admit() of `src` sees the new cap — admit() already re-derives the
-  // tenant's pacer lazily whenever the cap differs from the pacer rate, so
-  // a single-tenant edit is exactly equivalent to a whole-map
-  // configure_caps() carrying the same values.
+  // admit() of `src` sees the new cap — admit() re-derives the tenant's
+  // pacer lazily whenever the cap differs from the pacer rate.
   void set_tenant_cap(NodeId src, double gbps) {
     if (gbps > 0) {
       tenant_caps_[src] = gbps;

@@ -46,16 +46,6 @@ void Rnic::Control::clear_tenant_cap(NodeId src) {
                  static_cast<std::uint32_t>(obs::EnforcementEvent::kLift), 0.0);
 }
 
-void Rnic::Control::set_tx_ets_share(std::uint8_t tc, double weight_pct) {
-  EtsConfig& ets = dev_.pipe_.egress().ets();
-  if (tc >= ets.weight_pct.size()) return;
-  ets.weight_pct[tc] = weight_pct;
-  dev_.pipe_.egress().reconfigure_pacers();
-  publish_action(dev_.sched_.now(), dev_.node_, tc,
-                 static_cast<std::uint32_t>(obs::EnforcementEvent::kEtsReweight),
-                 weight_pct);
-}
-
 ControlSnapshot Rnic::Control::snapshot() const {
   ControlSnapshot snap;
   snap.at = dev_.sched_.now();
@@ -69,8 +59,6 @@ ControlSnapshot Rnic::Control::snapshot() const {
   for (const auto& [src, cap] : adm.tenant_caps()) {
     snap.tenant_caps.emplace_back(src, cap);
   }
-  const EtsConfig& ets = pipe.egress().ets();
-  snap.ets_weight_pct.assign(ets.weight_pct.begin(), ets.weight_pct.end());
   snap.caps_applied = caps_applied_;
   snap.caps_cleared = caps_cleared_;
   return snap;
@@ -91,7 +79,6 @@ void Rnic::configure(const RuntimeConfig& cfg) {
   pipe_.translation().unit().set_partitioned(cfg.tenant_isolation);
   pipe_.admission().set_tdm(cfg.tenant_isolation);
   pipe_.admission().configure_pacing(cfg.tenant_pacing_gbps);
-  pipe_.admission().configure_caps(cfg.tenant_caps_gbps);
   pipe_.egress().ets() = cfg.ets;
   pipe_.egress().reconfigure_pacers();
 }
@@ -103,9 +90,6 @@ RuntimeConfig Rnic::runtime_config() const {
   const pipeline::RxAdmission& adm =
       const_cast<Rnic*>(this)->pipe_.admission();
   cfg.tenant_pacing_gbps = adm.tenant_pacing_gbps();
-  for (const auto& [src, cap] : adm.tenant_caps()) {
-    cfg.tenant_caps_gbps[src] = cap;
-  }
   cfg.ets = const_cast<Rnic*>(this)->pipe_.egress().ets();
   return cfg;
 }

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "rnic/control.hpp"
 #include "rnic/counters.hpp"
@@ -38,15 +37,12 @@
 // construction) and data movement — all timing math lives in the stages.
 namespace ragnar::rnic {
 
-// Re-exported pipeline helpers: DecayedUtil moved into the pipeline layer
-// with the stages that use it, but remains part of this header's API.
-using pipeline::DecayedUtil;
-
-// Declarative runtime-tuning state: every mitigation / pacing / QoS knob the
-// device exposes, gathered into one value that is applied atomically via
-// Rnic::configure().  Field-for-field round-trippable through
-// Rnic::runtime_config() and the legacy getters; the historical set_*
-// setters survive as thin shims over configure().
+// Declarative runtime-tuning state: every device-wide mitigation / pacing /
+// QoS knob, gathered into one value that is applied atomically via
+// Rnic::configure() and read back field-for-field by
+// Rnic::runtime_config().  Per-tenant throttles are not part of it: they
+// are written only through the device's ControlPort (control()), and
+// configure() leaves them as they are.
 struct RuntimeConfig {
   // Section VII noise mitigation: uniform [0, max] added to every READ
   // translation on the responder path (0 disables).
@@ -57,10 +53,6 @@ struct RuntimeConfig {
   // Native Grain-I flow control: global per-tenant ingress pacing cap in
   // Gb/s (0 disables).
   double tenant_pacing_gbps = 0;
-  // Targeted per-tenant throttles (HARMONIC-style enforcement).  A tenant's
-  // entry overrides the global pacing cap; entries <= 0 are dropped on
-  // apply (equivalent to lifting the throttle).
-  std::unordered_map<NodeId, double> tenant_caps_gbps;
   // ETS per-TC bandwidth shares (the mlnx_qos equivalent).
   EtsConfig ets;
 };
@@ -117,20 +109,6 @@ class Rnic {
   // is a no-op.
   RuntimeConfig runtime_config() const;
 
-  // Read-side accessors for the applied tuning state.  (The PR 1 single-knob
-  // setter shims were removed in PR 3 — mutate through configure().)
-  sim::SimDur responder_noise() const { return pipe_.noise().noise(); }
-  // (See RuntimeConfig::tenant_isolation — kills the Grain-III/IV volatile
-  // channels, costs capacity + time-slicing overhead.)
-  bool tenant_isolation() const {
-    return pipe_.translation().unit().partitioned();
-  }
-  // (See RuntimeConfig::tenant_pacing_gbps — what modern RNICs already
-  // ship; it contains pure bandwidth floods but cannot see — let alone
-  // stop — the Kbps-scale Ragnar channels.)
-  double tenant_pacing_gbps() const {
-    return pipe_.admission().tenant_pacing_gbps();
-  }
   // Per-tenant targeted throttle (HARMONIC-style enforcement; 0 = unset).
   // Reads through the control port's snapshot, so callers always see the
   // *live* admission state — including caps an Enforcer applied mid-run —
@@ -173,7 +151,6 @@ class Rnic {
     NodeId node() const override;
     void set_tenant_cap(NodeId src, double gbps) override;
     void clear_tenant_cap(NodeId src) override;
-    void set_tx_ets_share(std::uint8_t tc, double weight_pct) override;
     ControlSnapshot snapshot() const override;
 
    private:

@@ -117,7 +117,7 @@ class Engine {
     cur->out.push(to, t, origin, std::forward<F>(fn));
   }
 
-  // Tighten the lookahead (clamped to >= 1 ps).  Fabric construction calls
+  // Tighten the lookahead (clamped to >= 1 ps).  Topology construction calls
   // this with each link's propagation latency; must happen before running.
   void constrain_lookahead(SimDur lat);
   SimDur lookahead() const { return lookahead_; }

@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "fabric/fabric.hpp"
 #include "fabric/topology.hpp"
 #include "rnic/device_profile.hpp"
 #include "revng/testbed.hpp"
@@ -244,49 +243,15 @@ TEST(SwitchPool, OverflowTailDropsWhenPfcDisabled) {
 }
 
 // ---------------------------------------------------------------------------
-// Facade equivalence
+// Facade equivalence: revng::Testbed's direct host mesh replays the
+// pre-topology point-to-point fabric (the suite keeps the name of the
+// facade class that used to build it).
 // ---------------------------------------------------------------------------
 
-// The Fabric facade and an explicitly-built point_to_point topology must
-// replay the identical completion sequence: both are the same direct-link
-// delivery path, constructed through the two public APIs.
-TEST(FacadeEquivalence, FabricMatchesBuilderPointToPoint) {
-  std::vector<sim::SimTime> facade_times;
-  {
-    sim::Scheduler sched;
-    sim::Xoshiro256 rng(2024);
-    const rnic::DeviceProfile prof =
-        rnic::make_profile(rnic::DeviceModel::kCX5);
-    Fabric fabric(sched);
-    fabric.add_device(prof, rng.fork());
-    fabric.add_device(prof, rng.fork());
-    Endpoints e = wire(fabric, 1, 0, 2);
-    facade_times = run_reads(sched, e, 32, 2048);
-  }
-  std::vector<sim::SimTime> builder_times;
-  {
-    sim::Scheduler sched;
-    sim::Xoshiro256 rng(2024);
-    const rnic::DeviceProfile prof =
-        rnic::make_profile(rnic::DeviceModel::kCX5);
-    Topology::Builder b(sched);
-    // Fork order must match the facade's add_device sequence (function
-    // arguments evaluate in unspecified order).
-    sim::Xoshiro256 rng_a = rng.fork();
-    sim::Xoshiro256 rng_b = rng.fork();
-    b.point_to_point(prof, rng_a, prof, rng_b);
-    auto topo = b.build();
-    Endpoints e = wire(*topo, 1, 0, 2);
-    builder_times = run_reads(sched, e, 32, 2048);
-  }
-  ASSERT_EQ(facade_times.size(), 32u);
-  EXPECT_EQ(facade_times, builder_times);
-}
-
-// Pinned timestamps from the pre-topology point-to-point fabric: the facade
-// must keep replaying the legacy event sequence bit-for-bit.  (These values
-// were captured from the seed implementation, whose scenario goldens the
-// facade reproduces byte-identically.)
+// Pinned timestamps from the pre-topology point-to-point fabric: the
+// testbed's direct mesh must keep replaying the legacy event sequence
+// bit-for-bit.  (These values were captured from the seed implementation,
+// whose scenario goldens the testbed reproduces byte-identically.)
 TEST(FacadeEquivalence, LegacyGoldenTimestampsStillHold) {
   revng::Testbed bed(rnic::DeviceModel::kCX5, /*seed=*/7, /*clients=*/1);
   auto conn = bed.connect(0, /*qp_count=*/1, /*max_send_wr=*/16, /*tc=*/0);
@@ -310,18 +275,21 @@ TEST(FacadeEquivalence, LegacyGoldenTimestampsStillHold) {
   EXPECT_EQ(completions, golden);
 }
 
-// Direct host-host links never consult switch machinery; the facade keeps
-// the legacy surface area.
+// The testbed's fabric is a pairwise direct mesh: no switches, one direct
+// link per host pair.
 TEST(FacadeEquivalence, FacadeShapeIsPairwiseDirect) {
-  sim::Scheduler sched;
-  sim::Xoshiro256 rng(1);
-  Fabric fabric(sched);
-  for (int i = 0; i < 3; ++i)
-    fabric.add_device(rnic::DeviceModel::kCX5, rng.fork());
-  EXPECT_EQ(fabric.size(), 3u);
-  EXPECT_EQ(fabric.switch_count(), 0u);
-  EXPECT_EQ(fabric.link_count(), 3u);  // full mesh over 3 hosts
-  EXPECT_NE(fabric.link_between(NodeRef::host(0), NodeRef::host(2)), kNoLink);
+  revng::Testbed bed(rnic::DeviceModel::kCX5, /*seed=*/1, /*clients=*/3);
+  Topology& topo = bed.fabric();
+  const std::size_t n = topo.host_count();
+  EXPECT_EQ(n, 4u);  // server + 3 clients
+  EXPECT_EQ(topo.switch_count(), 0u);
+  EXPECT_EQ(topo.link_count(), n * (n - 1) / 2);
+  for (rnic::NodeId a = 0; a < n; ++a) {
+    for (rnic::NodeId b = a + 1; b < n; ++b) {
+      EXPECT_NE(topo.link_between(NodeRef::host(a), NodeRef::host(b)), kNoLink)
+          << a << "-" << b;
+    }
+  }
 }
 
 }  // namespace

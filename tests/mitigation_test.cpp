@@ -16,8 +16,8 @@
 namespace ragnar {
 namespace {
 
-// Tuning goes through the RuntimeConfig snapshot (the PR 1 single-knob
-// setters were removed in PR 3).
+// Device-wide tuning goes through the RuntimeConfig snapshot; per-tenant
+// caps go through the device's ControlPort.
 void set_isolation(rnic::Rnic& dev, bool on) {
   rnic::RuntimeConfig cfg = dev.runtime_config();
   cfg.tenant_isolation = on;
@@ -27,16 +27,6 @@ void set_isolation(rnic::Rnic& dev, bool on) {
 void set_pacing(rnic::Rnic& dev, double gbps) {
   rnic::RuntimeConfig cfg = dev.runtime_config();
   cfg.tenant_pacing_gbps = gbps;
-  dev.configure(cfg);
-}
-
-void set_cap(rnic::Rnic& dev, rnic::NodeId src, double gbps) {
-  rnic::RuntimeConfig cfg = dev.runtime_config();
-  if (gbps <= 0) {
-    cfg.tenant_caps_gbps.erase(src);
-  } else {
-    cfg.tenant_caps_gbps[src] = gbps;
-  }
   dev.configure(cfg);
 }
 
@@ -215,7 +205,7 @@ TEST(TenantPacing, PerTenantCapOverridesGlobalPacing) {
     rnic::Rnic& dev = bed.server().device();
     set_pacing(dev, 10.0);
     if (cap0_gbps > 0) {
-      set_cap(dev, bed.client(0).device().node(), cap0_gbps);
+      dev.control().set_tenant_cap(bed.client(0).device().node(), cap0_gbps);
     }
     revng::FlowSpec flood;
     flood.opcode = verbs::WrOpcode::kRdmaWrite;

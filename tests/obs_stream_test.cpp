@@ -216,9 +216,8 @@ std::vector<obs::StreamSample> run_enforcement_stream(std::uint32_t shards) {
         static_cast<sim::ShardId>(dev % (shards == 0 ? 1 : shards));
     for (std::uint32_t w = 0; w < 20; ++w) {
       const sim::SimTime t = sim::us(10 + w * kDevices + dev);
-      const auto ev = w % 3 == 0   ? obs::EnforcementEvent::kApply
-                      : w % 3 == 1 ? obs::EnforcementEvent::kLift
-                                   : obs::EnforcementEvent::kEtsReweight;
+      const auto ev = w % 2 == 0 ? obs::EnforcementEvent::kApply
+                                 : obs::EnforcementEvent::kLift;
       eng.post(shard, t, dev, [t, dev, ev] {
         if (obs::StreamSink* sink = obs::stream()) {
           sink->publish(obs::StreamChannel::kEnforcement, t,

@@ -284,77 +284,81 @@ struct RnicFixture {
            sim::Xoshiro256(99)};
 };
 
-TEST(RuntimeConfigTest, ConfigureRoundTripsThroughLegacyGetters) {
+TEST(RuntimeConfigTest, ConfigureRoundTripsThroughRuntimeConfig) {
   RnicFixture fx;
   RuntimeConfig cfg;
   cfg.responder_noise = sim::ns(120);
   cfg.tenant_isolation = true;
   cfg.tenant_pacing_gbps = 25.0;
-  cfg.tenant_caps_gbps[2] = 5.0;
-  cfg.tenant_caps_gbps[7] = 0.5;
-  cfg.tenant_caps_gbps[9] = 0.0;  // <= 0 entries are dropped on apply
   cfg.ets.weight_pct.fill(0.0);
   cfg.ets.weight_pct[0] = 70.0;
   cfg.ets.weight_pct[1] = 30.0;
   fx.dev.configure(cfg);
 
-  // Field-for-field through the legacy getters.
-  EXPECT_EQ(fx.dev.responder_noise(), sim::ns(120));
-  EXPECT_TRUE(fx.dev.tenant_isolation());
-  EXPECT_DOUBLE_EQ(fx.dev.tenant_pacing_gbps(), 25.0);
-  EXPECT_DOUBLE_EQ(fx.dev.tenant_cap_gbps(2), 5.0);
-  EXPECT_DOUBLE_EQ(fx.dev.tenant_cap_gbps(7), 0.5);
-  EXPECT_DOUBLE_EQ(fx.dev.tenant_cap_gbps(9), 0.0);
+  // Field-for-field through the snapshot, and the live stages agree.
+  const RuntimeConfig snap = fx.dev.runtime_config();
+  EXPECT_EQ(snap.responder_noise, sim::ns(120));
+  EXPECT_TRUE(snap.tenant_isolation);
+  EXPECT_DOUBLE_EQ(snap.tenant_pacing_gbps, 25.0);
+  EXPECT_EQ(snap.ets.weight_pct, cfg.ets.weight_pct);
+  const ControlSnapshot live = fx.dev.control().snapshot();
+  EXPECT_DOUBLE_EQ(live.tenant_pacing_gbps, 25.0);
+  EXPECT_TRUE(live.tdm);
   EXPECT_DOUBLE_EQ(fx.dev.ets().weight_pct[0], 70.0);
   EXPECT_DOUBLE_EQ(fx.dev.ets().weight_pct[1], 30.0);
 
-  // And through the snapshot: configure(runtime_config()) is a no-op.
-  const RuntimeConfig snap = fx.dev.runtime_config();
-  EXPECT_EQ(snap.responder_noise, cfg.responder_noise);
-  EXPECT_EQ(snap.tenant_isolation, cfg.tenant_isolation);
-  EXPECT_DOUBLE_EQ(snap.tenant_pacing_gbps, cfg.tenant_pacing_gbps);
-  ASSERT_EQ(snap.tenant_caps_gbps.size(), 2u);  // the 0.0 entry was dropped
-  EXPECT_DOUBLE_EQ(snap.tenant_caps_gbps.at(2), 5.0);
-  EXPECT_DOUBLE_EQ(snap.tenant_caps_gbps.at(7), 0.5);
-  EXPECT_EQ(snap.ets.weight_pct, cfg.ets.weight_pct);
+  // configure(runtime_config()) is a no-op.
   fx.dev.configure(snap);
   const RuntimeConfig again = fx.dev.runtime_config();
   EXPECT_EQ(again.responder_noise, snap.responder_noise);
-  EXPECT_EQ(again.tenant_caps_gbps, snap.tenant_caps_gbps);
+  EXPECT_EQ(again.tenant_isolation, snap.tenant_isolation);
+  EXPECT_DOUBLE_EQ(again.tenant_pacing_gbps, snap.tenant_pacing_gbps);
+  EXPECT_EQ(again.ets.weight_pct, snap.ets.weight_pct);
+
+  // Per-tenant caps are written only through the control port (a cap <= 0
+  // is a lift), and configure() leaves them as they are.
+  fx.dev.control().set_tenant_cap(2, 5.0);
+  fx.dev.control().set_tenant_cap(7, 0.5);
+  fx.dev.control().set_tenant_cap(9, 0.0);
+  fx.dev.configure(RuntimeConfig{});
+  const ControlSnapshot caps = fx.dev.control().snapshot();
+  ASSERT_EQ(caps.tenant_caps.size(), 2u);
+  EXPECT_DOUBLE_EQ(caps.cap_for(2), 5.0);
+  EXPECT_DOUBLE_EQ(caps.cap_for(7), 0.5);
+  EXPECT_DOUBLE_EQ(caps.cap_for(9), 0.0);
+  EXPECT_DOUBLE_EQ(caps.tenant_pacing_gbps, 0.0);
 }
 
 TEST(RuntimeConfigTest, ReadModifyWriteTouchesOnlyChangedKnobs) {
   RnicFixture fx;
+  fx.dev.control().set_tenant_cap(4, 2.5);
   RuntimeConfig cfg = fx.dev.runtime_config();
   cfg.responder_noise = sim::ns(40);
   cfg.tenant_isolation = true;
   cfg.tenant_pacing_gbps = 10.0;
-  cfg.tenant_caps_gbps[4] = 2.5;
   fx.dev.configure(cfg);
 
   RuntimeConfig snap = fx.dev.runtime_config();
   EXPECT_EQ(snap.responder_noise, sim::ns(40));
   EXPECT_TRUE(snap.tenant_isolation);
   EXPECT_DOUBLE_EQ(snap.tenant_pacing_gbps, 10.0);
-  ASSERT_EQ(snap.tenant_caps_gbps.size(), 1u);
-  EXPECT_DOUBLE_EQ(snap.tenant_caps_gbps.at(4), 2.5);
 
   // Read-modify-write of the snapshot touches only the changed knob.
   snap.tenant_pacing_gbps = 0.0;
   fx.dev.configure(snap);
-  EXPECT_EQ(fx.dev.responder_noise(), sim::ns(40));
-  EXPECT_TRUE(fx.dev.tenant_isolation());
+  const RuntimeConfig after = fx.dev.runtime_config();
+  EXPECT_EQ(after.responder_noise, sim::ns(40));
+  EXPECT_TRUE(after.tenant_isolation);
+  EXPECT_DOUBLE_EQ(after.tenant_pacing_gbps, 0.0);
   EXPECT_DOUBLE_EQ(fx.dev.tenant_cap_gbps(4), 2.5);
 
   // cap <= 0 lifts the throttle.
-  snap = fx.dev.runtime_config();
-  snap.tenant_caps_gbps[4] = 0.0;
-  fx.dev.configure(snap);
-  EXPECT_TRUE(fx.dev.runtime_config().tenant_caps_gbps.empty());
+  fx.dev.control().set_tenant_cap(4, 0.0);
+  EXPECT_TRUE(fx.dev.control().snapshot().tenant_caps.empty());
 }
 
 TEST(DecayedUtilTest, RisesAndDecays) {
-  DecayedUtil u(sim::us(10));
+  pipeline::DecayedUtil u(sim::us(10));
   EXPECT_DOUBLE_EQ(u.value(0), 0.0);
   u.add(0, sim::us(5));
   EXPECT_NEAR(u.value(0), 0.5, 1e-9);
@@ -363,7 +367,7 @@ TEST(DecayedUtilTest, RisesAndDecays) {
 }
 
 TEST(DecayedUtilTest, SaturatesAtOne) {
-  DecayedUtil u(sim::us(10));
+  pipeline::DecayedUtil u(sim::us(10));
   for (int i = 0; i < 10; ++i) u.add(0, sim::us(10));
   EXPECT_NEAR(u.value(0), 1.0, 1e-9);
 }
