@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
+#include <cstdarg>
 #include <cstdio>
 #include <memory>
 #include <thread>
@@ -17,6 +18,26 @@ using Clock = std::chrono::steady_clock;
 
 double ms_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
+}
+
+// printf-append onto a string (the JSON renderer builds the document in
+// memory so callers can embed it).
+[[gnu::format(printf, 2, 3)]] void appendf(std::string& out, const char* fmt,
+                                           ...) {
+  va_list ap;
+  va_start(ap, fmt);
+  va_list ap2;
+  va_copy(ap2, ap);
+  const int n = std::vsnprintf(nullptr, 0, fmt, ap);
+  va_end(ap);
+  if (n > 0) {
+    const std::size_t old = out.size();
+    out.resize(old + static_cast<std::size_t>(n) + 1);
+    std::vsnprintf(out.data() + old, static_cast<std::size_t>(n) + 1, fmt,
+                   ap2);
+    out.resize(old + static_cast<std::size_t>(n));
+  }
+  va_end(ap2);
 }
 
 // Minimal JSON string escaping for labels / field values.
@@ -178,59 +199,63 @@ std::string SweepReport::write_csv(const std::string& dir,
   return path;
 }
 
+std::string SweepReport::to_json() const {
+  std::string out = "[\n";
+  for (std::size_t i = 0; i < trials.size(); ++i) {
+    const auto& t = trials[i];
+    appendf(out,
+            "  {\"label\": \"%s\", \"index\": %zu, \"seed\": %" PRIu64
+            ", \"wall_ms\": %.3f, \"sim_end_ns\": %.0f",
+            json_escape(t.label).c_str(), t.index, t.seed, t.wall_ms,
+            sim::to_ns(t.sim_end));
+    if (t.faults_noted) {
+      appendf(out,
+              ", \"delivered\": %" PRIu64 ", \"injected_drops\": %" PRIu64
+              ", \"retransmits\": %" PRIu64 ", \"rnr_retries\": %" PRIu64
+              ", \"corrupted\": %" PRIu64 ", \"flap_dropped\": %" PRIu64
+              ", \"reordered\": %" PRIu64 ", \"ge_steps\": %" PRIu64
+              ", \"ge_bad_steps\": %" PRIu64,
+              t.faults.delivered, t.faults.injected_drops,
+              t.faults.retransmits, t.faults.rnr_retries, t.faults.corrupted,
+              t.faults.flap_dropped, t.faults.reordered, t.faults.ge_steps,
+              t.faults.ge_bad_steps);
+    }
+    if (t.stream_noted) {
+      appendf(out,
+              ", \"stream_published\": %" PRIu64
+              ", \"stream_dropped\": %" PRIu64,
+              t.stream_published, t.stream_dropped);
+    }
+    if (t.actions_applied != 0 || t.actions_lifted != 0) {
+      appendf(out,
+              ", \"actions_applied\": %" PRIu64
+              ", \"actions_lifted\": %" PRIu64,
+              t.actions_applied, t.actions_lifted);
+    }
+    for (const auto& [k, v] : t.record.fields()) {
+      appendf(out, ", \"%s\": \"%s\"", json_escape(k).c_str(),
+              json_escape(v).c_str());
+    }
+    if (!t.metrics.empty()) {
+      out += ", \"metrics\": {";
+      for (std::size_t c = 0; c < t.metrics.cells.size(); ++c) {
+        const auto& cell = t.metrics.cells[c];
+        appendf(out, "%s\"%s\": \"%s\"", c ? ", " : "",
+                json_escape(cell.column).c_str(),
+                json_escape(cell.value).c_str());
+      }
+      out += "}";
+    }
+    out += i + 1 < trials.size() ? "},\n" : "}\n";
+  }
+  out += "]";
+  return out;
+}
+
 void SweepReport::write_json(const std::string& path) const {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return;
-  std::fprintf(f, "[\n");
-  for (std::size_t i = 0; i < trials.size(); ++i) {
-    const auto& t = trials[i];
-    std::fprintf(f,
-                 "  {\"label\": \"%s\", \"index\": %zu, \"seed\": %" PRIu64
-                 ", \"wall_ms\": %.3f, \"sim_end_ns\": %.0f",
-                 json_escape(t.label).c_str(), t.index, t.seed, t.wall_ms,
-                 sim::to_ns(t.sim_end));
-    if (t.faults_noted) {
-      std::fprintf(f,
-                   ", \"delivered\": %" PRIu64 ", \"injected_drops\": %" PRIu64
-                   ", \"retransmits\": %" PRIu64 ", \"rnr_retries\": %" PRIu64
-                   ", \"corrupted\": %" PRIu64 ", \"flap_dropped\": %" PRIu64
-                   ", \"reordered\": %" PRIu64 ", \"ge_steps\": %" PRIu64
-                   ", \"ge_bad_steps\": %" PRIu64,
-                   t.faults.delivered, t.faults.injected_drops,
-                   t.faults.retransmits, t.faults.rnr_retries,
-                   t.faults.corrupted, t.faults.flap_dropped,
-                   t.faults.reordered, t.faults.ge_steps,
-                   t.faults.ge_bad_steps);
-    }
-    if (t.stream_noted) {
-      std::fprintf(f,
-                   ", \"stream_published\": %" PRIu64
-                   ", \"stream_dropped\": %" PRIu64,
-                   t.stream_published, t.stream_dropped);
-    }
-    if (t.actions_applied != 0 || t.actions_lifted != 0) {
-      std::fprintf(f,
-                   ", \"actions_applied\": %" PRIu64
-                   ", \"actions_lifted\": %" PRIu64,
-                   t.actions_applied, t.actions_lifted);
-    }
-    for (const auto& [k, v] : t.record.fields()) {
-      std::fprintf(f, ", \"%s\": \"%s\"", json_escape(k).c_str(),
-                   json_escape(v).c_str());
-    }
-    if (!t.metrics.empty()) {
-      std::fprintf(f, ", \"metrics\": {");
-      for (std::size_t c = 0; c < t.metrics.cells.size(); ++c) {
-        const auto& cell = t.metrics.cells[c];
-        std::fprintf(f, "%s\"%s\": \"%s\"", c ? ", " : "",
-                     json_escape(cell.column).c_str(),
-                     json_escape(cell.value).c_str());
-      }
-      std::fprintf(f, "}");
-    }
-    std::fprintf(f, "}%s\n", i + 1 < trials.size() ? "," : "");
-  }
-  std::fprintf(f, "]\n");
+  std::fprintf(f, "%s\n", to_json().c_str());
   std::fclose(f);
 }
 

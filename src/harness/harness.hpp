@@ -148,7 +148,9 @@ struct SweepReport {
   // first-appearance order over trials in index order) into
   // `<dir>/<name>.csv`.  No-op when dir is empty.  Returns the path written.
   std::string write_csv(const std::string& dir, const std::string& name) const;
-  // Same rows as a JSON array of objects, written to `path`.
+  // Same rows as a JSON array of objects: to_json() renders it (no
+  // trailing newline), write_json() writes it to `path`.
+  std::string to_json() const;
   void write_json(const std::string& path) const;
   // Merge every trial's span events into one Chrome trace_event JSON file.
   // Returns false when no events were captured or the file cannot be

@@ -166,7 +166,24 @@ harness::SweepReport ScenarioContext::run_sweep(
                    csv_dir.c_str());
     }
   }
-  if (!json_path.empty()) report.write_json(json_path);
+  if (!json_path.empty()) {
+    // One file per scenario run, one entry per sweep (docs/HARNESS.md):
+    // a scenario with several sweeps keeps all of them.
+    if (!json_sweeps_.empty()) json_sweeps_ += ",\n";
+    json_sweeps_ += "{\"sweep\": \"";
+    json_sweeps_ += name;
+    json_sweeps_ += "\", \"trials\": ";
+    json_sweeps_ += report.to_json();
+    json_sweeps_ += "}";
+    std::FILE* f = std::fopen(json_path.c_str(), "w");
+    if (f != nullptr) {
+      std::fprintf(f, "[\n%s\n]\n", json_sweeps_.c_str());
+      std::fclose(f);
+    } else {
+      std::fprintf(stderr, "[harness] WARNING: could not write JSON %s\n",
+                   json_path.c_str());
+    }
+  }
   return report;
 }
 

@@ -81,7 +81,8 @@ class ScenarioContext {
 
   // Run a populated sweep with the uniform --jobs/--seed, emit the standard
   // timing footer (to stderr, so summary output stays byte-comparable
-  // across --jobs values) plus the optional --csv-dir/--json dumps, fold
+  // across --jobs values) plus the optional --csv-dir/--json dumps (the
+  // --json file holds every sweep the scenario ran, in run order), fold
   // per-trial trace events into the process trace, and hand back the
   // in-order results.
   harness::SweepReport run_sweep(harness::SweepRunner& sweep,
@@ -92,6 +93,11 @@ class ScenarioContext {
   // from sweep_options() and override.
   harness::SweepReport run_sweep(harness::SweepRunner& sweep, const char* name,
                                  const harness::SweepRunner::Options& o) const;
+
+ private:
+  // --json output of the sweeps run so far, `{"sweep": ..., "trials": [...]}`
+  // objects joined by ",\n"; the file is rewritten whole after every sweep.
+  mutable std::string json_sweeps_;
 };
 
 // One registered experiment.  `name` is the registry key (and the name of

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -301,6 +303,44 @@ TEST(Cli, WindowedCloudScenariosAreShardCountInvariant) {
         << name << " produced no reproduction header";
     EXPECT_EQ(one, three) << name << " diverged between 1 and 3 shards";
   }
+}
+
+// --json keeps every sweep a scenario runs (docs/HARNESS.md): defense_online
+// runs a metric-bearing trial sweep and then an ROC sweep, and the file
+// must hold both, trials sweep first.
+TEST(Cli, JsonHoldsEverySweepOfAScenario) {
+  const std::string path =
+      testing::TempDir() + "scenario_test_defense_online.json";
+  testing::internal::CaptureStdout();
+  testing::internal::CaptureStderr();
+  const int rc = cli({"run", "defense_online", "--jobs", "1", "--json",
+                      path.c_str()});
+  testing::internal::GetCapturedStdout();
+  testing::internal::GetCapturedStderr();
+  ASSERT_EQ(rc, 0);
+  std::ifstream in(path);
+  ASSERT_TRUE(in) << path;
+  const std::string json((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  const std::size_t trials = json.find("{\"sweep\": \"defense_online_trials\"");
+  const std::size_t roc = json.find("{\"sweep\": \"defense_online_roc\"");
+  ASSERT_NE(trials, std::string::npos) << json.substr(0, 200);
+  ASSERT_NE(roc, std::string::npos) << json.substr(0, 200);
+  EXPECT_LT(trials, roc);
+  EXPECT_EQ(json.front(), '[');
+  EXPECT_EQ(json.substr(json.size() - 5), "]}\n]\n");
+  // The trial sweep carries the registry snapshots; the ROC sweep does not.
+  const std::string trial_part = json.substr(trials, roc - trials);
+  std::size_t n_trials = 0;
+  for (std::size_t at = trial_part.find("\"metrics\": {");
+       at != std::string::npos;
+       at = trial_part.find("\"metrics\": {", at + 1)) {
+    ++n_trials;
+  }
+  EXPECT_EQ(n_trials, 8u);
+  EXPECT_NE(trial_part.find("rnic.stage.msgs{stage="), std::string::npos);
+  EXPECT_EQ(json.find("\"metrics\"", roc), std::string::npos);
+  std::remove(path.c_str());
 }
 
 TEST(Cli, SeedChangesOutput) {
