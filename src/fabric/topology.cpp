@@ -23,6 +23,13 @@ const char* verdict_name(faults::Verdict v) {
   return "?";
 }
 
+// Resolver for a per-switch counter handle: `metric{switch=<name>}`.
+auto switch_counter(const char* metric, const std::string& sw) {
+  return [metric, &sw](obs::MetricsRegistry& r) -> obs::Counter& {
+    return r.counter(metric, {{"switch", sw}});
+  };
+}
+
 // ECMP flow hash: splitmix64 finalizer over the flow triple.  The triple is
 // direction-independent (requester node, responder node, requester QPN), so
 // a flow's requests and replies ride the same uplink of every parallel
@@ -209,11 +216,7 @@ void Topology::route_direct(const rnic::InFlightMsg& msg, sim::SimTime depart,
     fh.link = link_id;
     fh.reverse = reverse;
     const faults::Decision d = injector_->decide(fh, msg.op.src_node, depart);
-    if (obs::MetricsRegistry* reg = obs::metrics()) {
-      reg->counter("fabric.verdicts",
-                   obs::LabelSet{{"verdict", verdict_name(d.verdict)}})
-          .add();
-    }
+    count_verdict(d.verdict);
     if (d.verdict != faults::Verdict::kDeliver) {
       if (obs::Tracer* tr = obs::tracer()) {
         tr->instant("faults", verdict_name(d.verdict), depart,
@@ -235,8 +238,19 @@ void Topology::deliver(const rnic::InFlightMsg& msg, NodeRef from,
                        sim::SimTime arrive) {
   rnic::Rnic* target = hosts_.at(dst).get();
   if (obs::MetricsRegistry* reg = obs::metrics()) {
-    reg->counter("fabric.delivered").add();
-    reg->counter("fabric.wire_bytes").add(msg.wire_bytes);
+    ShardMetrics& m = shard_metrics_[stats_shard()];
+    m.delivered
+        .in(*reg,
+            [](obs::MetricsRegistry& r) -> obs::Counter& {
+              return r.counter("fabric.delivered");
+            })
+        .add();
+    m.wire_bytes
+        .in(*reg,
+            [](obs::MetricsRegistry& r) -> obs::Counter& {
+              return r.counter("fabric.wire_bytes");
+            })
+        .add(msg.wire_bytes);
   }
   if (obs::Tracer* tr = obs::tracer()) {
     tr->complete("fabric", is_req ? "wire.req" : "wire.resp", depart, arrive,
@@ -248,6 +262,19 @@ void Topology::deliver(const rnic::InFlightMsg& msg, NodeRef from,
   auto fn = [target, msg] { target->deliver(msg); };
   static_assert(sim::InlineFn::fits<decltype(fn)>);
   schedule(from, NodeRef::host(dst), arrive, std::move(fn));
+}
+
+void Topology::count_verdict(faults::Verdict v) {
+  if (obs::MetricsRegistry* reg = obs::metrics()) {
+    shard_metrics_[stats_shard()]
+        .verdicts[static_cast<std::size_t>(v)]
+        .in(*reg,
+            [v](obs::MetricsRegistry& r) -> obs::Counter& {
+              return r.counter("fabric.verdicts",
+                               {{"verdict", verdict_name(v)}});
+            })
+        .add();
+  }
 }
 
 void Topology::hop(const rnic::InFlightMsg& msg, NodeRef at, sim::SimTime t) {
@@ -275,11 +302,7 @@ void Topology::hop(const rnic::InFlightMsg& msg, NodeRef at, sim::SimTime t) {
     fh.link = link_id;
     fh.reverse = reverse;
     const faults::Decision d = injector_->decide(fh, msg.op.src_node, t);
-    if (obs::MetricsRegistry* reg = obs::metrics()) {
-      reg->counter("fabric.verdicts",
-                   obs::LabelSet{{"verdict", verdict_name(d.verdict)}})
-          .add();
-    }
+    count_verdict(d.verdict);
     if (d.verdict != faults::Verdict::kDeliver) {
       if (obs::Tracer* tr = obs::tracer()) {
         tr->instant("faults", verdict_name(d.verdict), t,
@@ -327,9 +350,7 @@ sim::SimTime Topology::switch_egress(SwitchId sw, LinkId lk, int dir,
   if (s.occupancy + bytes > s.spec.buffer_bytes) {
     ++s.stats.drops;
     if (obs::MetricsRegistry* reg = obs::metrics()) {
-      reg->counter("fabric.switch.drops",
-                   obs::LabelSet{{"switch", s.spec.name}})
-          .add();
+      s.drops_m.in(*reg, switch_counter("fabric.switch.drops", s.spec.name)).add();
     }
     if (obs::StreamSink* sink = obs::stream()) {
       sink->publish(obs::StreamChannel::kSwitchDrop, t, sw, lk,
@@ -356,8 +377,12 @@ sim::SimTime Topology::switch_egress(SwitchId sw, LinkId lk, int dir,
       {done, bytes});
 
   if (obs::MetricsRegistry* reg = obs::metrics()) {
-    reg->gauge("fabric.switch.buffer_bytes",
-               obs::LabelSet{{"switch", s.spec.name}})
+    s.buffer_m
+        .in(*reg,
+            [&s](obs::MetricsRegistry& r) -> obs::Gauge& {
+              return r.gauge("fabric.switch.buffer_bytes",
+                             {{"switch", s.spec.name}});
+            })
         .set(static_cast<double>(s.occupancy));
   }
   if (obs::StreamSink* sink = obs::stream()) {
@@ -399,9 +424,7 @@ void Topology::assert_or_extend_pause(SwitchId sw_id, sim::SimTime now) {
     s.pause_horizon = horizon;
     ++s.stats.pause_events;
     if (obs::MetricsRegistry* reg = obs::metrics()) {
-      reg->counter("fabric.pfc.pause_events",
-                   obs::LabelSet{{"switch", s.spec.name}})
-          .add();
+      s.pause_events_m.in(*reg, switch_counter("fabric.pfc.pause_events", s.spec.name)).add();
     }
     if (obs::StreamSink* sink = obs::stream()) {
       sink->publish(obs::StreamChannel::kPfcPause, now, sw_id, 1,
@@ -425,8 +448,7 @@ void Topology::propagate_pause(SwitchId sw_id, sim::SimTime now,
                                sim::SimTime horizon) {
   Switch& s = switches_[sw_id];
   if (obs::MetricsRegistry* reg = obs::metrics()) {
-    reg->counter("fabric.pfc.pause_ps",
-                 obs::LabelSet{{"switch", s.spec.name}})
+    s.pause_ps_m.in(*reg, switch_counter("fabric.pfc.pause_ps", s.spec.name))
         .add(horizon > s.pause_started ? horizon - s.pause_started : 0);
   }
   // In windowed mode pause application is a cross-node effect like any

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -7,6 +9,7 @@
 #include <vector>
 
 #include "faults/faults.hpp"
+#include "obs/metrics.hpp"
 #include "rnic/device_profile.hpp"
 #include "rnic/rnic.hpp"
 #include "sim/engine.hpp"
@@ -118,11 +121,14 @@ class Topology : public rnic::FabricPort {
  public:
   class Builder;
 
-  explicit Topology(sim::Scheduler& sched) : sched_(sched) {}
+  explicit Topology(sim::Scheduler& sched)
+      : sched_(sched), shard_metrics_(1) {}
   // Engine-backed topology: nodes schedule on their shard's queue, and in
   // windowed mode cross-node events route through the engine's mailboxes.
   explicit Topology(sim::Engine& engine)
-      : sched_(engine.legacy_scheduler()), engine_(&engine) {
+      : sched_(engine.legacy_scheduler()),
+        engine_(&engine),
+        shard_metrics_(std::max<std::uint32_t>(engine.shard_count(), 1)) {
     link_bytes_.reset(engine.shard_count(), 0);
   }
   Topology(const Topology&) = delete;
@@ -200,6 +206,23 @@ class Topology : public rnic::FabricPort {
     // time; drained lazily against the simulated clock.
     std::vector<std::pair<sim::SimTime, std::uint64_t>> pending;
     std::vector<LinkId> ports;
+    // fabric.switch.* / fabric.pfc.*{switch=spec.name} handles; a switch
+    // records only on its own shard.
+    obs::Cached<obs::Counter> drops_m;
+    obs::Cached<obs::Gauge> buffer_m;
+    obs::Cached<obs::Counter> pause_events_m;
+    obs::Cached<obs::Counter> pause_ps_m;
+  };
+
+  // fabric.delivered / fabric.wire_bytes / fabric.verdicts{verdict} handles,
+  // one set per shard: in windowed mode these hooks run on whichever shard
+  // executes the hop, each recording into its own shard registry.
+  static constexpr std::size_t kVerdicts =
+      static_cast<std::size_t>(faults::Verdict::kFlapDrop) + 1;
+  struct alignas(64) ShardMetrics {
+    obs::Cached<obs::Counter> delivered;
+    obs::Cached<obs::Counter> wire_bytes;
+    std::array<obs::Cached<obs::Counter>, kVerdicts> verdicts;
   };
 
   // Legacy point-to-point delivery over a direct host-host link: exactly
@@ -223,6 +246,8 @@ class Topology : public rnic::FabricPort {
   void propagate_pause(SwitchId sw_id, sim::SimTime now, sim::SimTime horizon);
   void deliver(const rnic::InFlightMsg& msg, NodeRef from, rnic::NodeId dst,
                bool is_req, sim::SimTime depart, sim::SimTime arrive);
+  // fabric.verdicts{verdict} for one fault-injector decision.
+  void count_verdict(faults::Verdict v);
 
   std::uint32_t node_index(NodeRef n) const {
     return n.is_host() ? n.id
@@ -271,6 +296,7 @@ class Topology : public rnic::FabricPort {
   // Per link, both directions.  Shard-private rows (a link's two endpoints
   // may execute on different shards); fold with link_bytes().
   sim::PerShardSlots<std::uint64_t> link_bytes_;
+  std::vector<ShardMetrics> shard_metrics_;  // indexed by stats_shard()
   // Direct host-host links: (src << 16 | dst) -> LinkId fast path.
   sim::FlatMap<std::uint32_t, LinkId> direct_;
   // routes_[node_index][dst_host] = equal-cost next-hop links, LinkId order.

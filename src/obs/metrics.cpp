@@ -1,6 +1,7 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -21,6 +22,12 @@ std::string format_u64(std::uint64_t v) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%" PRIu64, v);
   return std::string(buf);
+}
+
+// Registry ids: process-wide, never reused (0 means "never resolved").
+std::uint64_t next_registry_id() {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
 }
 
 template <typename Map, typename... Args>
@@ -223,6 +230,8 @@ const std::string* MetricsSnapshot::find(const std::string& column) const {
   return nullptr;
 }
 
+MetricsRegistry::MetricsRegistry() : id_(next_registry_id()) {}
+
 Counter& MetricsRegistry::counter(std::string_view name,
                                   const LabelSet& labels) {
   return get_or_create(counters_, metric_key(name, labels));
@@ -253,6 +262,7 @@ bool MetricsRegistry::empty() const {
 }
 
 void MetricsRegistry::clear() {
+  id_ = next_registry_id();
   counters_.clear();
   gauges_.clear();
   histograms_.clear();

@@ -183,8 +183,20 @@ struct MetricsSnapshot {
 // stable reference (storage is node-based).  Not thread-safe by design:
 // a registry belongs to one trial (= one thread at a time), the same
 // ownership discipline as sim::Scheduler.
+//
+// Each registry carries a process-unique id(), drawn at construction and
+// drawn again by clear(): a reference handed out earlier stays valid for
+// exactly as long as the id is unchanged.  Cached<T> keys on it, never on
+// the registry's address (a trial hub may reuse a freed hub's memory, and
+// the engine clears its shard registries after every run).
 class MetricsRegistry {
  public:
+  MetricsRegistry();
+  MetricsRegistry(const MetricsRegistry&) = delete;
+  MetricsRegistry& operator=(const MetricsRegistry&) = delete;
+
+  std::uint64_t id() const { return id_; }
+
   Counter& counter(std::string_view name, const LabelSet& labels = {});
   Gauge& gauge(std::string_view name, const LabelSet& labels = {});
   Histogram& histogram(std::string_view name, const LabelSet& labels = {});
@@ -193,6 +205,7 @@ class MetricsRegistry {
                     const LabelSet& labels = {});
 
   bool empty() const;
+  // Drop every instrument and draw a new id().
   void clear();
 
   // Fold another registry into this one: counters and histograms
@@ -208,11 +221,36 @@ class MetricsRegistry {
   MetricsSnapshot snapshot() const;
 
  private:
+  std::uint64_t id_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
   std::map<std::string, std::unique_ptr<TimeSeries>> series_;
   std::map<std::string, std::unique_ptr<RateSampler>> rates_;
+};
+
+// A hook site's cached instrument (docs/OBSERVABILITY.md §hook sites): the
+// reference one string-path resolve returned, plus the id() of the registry
+// it came from.  `resolve` — a call to the registry's counter/gauge/
+// histogram accessor — runs only when the handle has not yet seen `reg`'s
+// current id, so a hot hook renders no key and does no map lookup per
+// message.  The object that owns the hook owns the handle; a handle is
+// used by one thread at a time, like the registry.
+template <typename T>
+class Cached {
+ public:
+  template <typename Resolve>
+  T& in(MetricsRegistry& reg, Resolve&& resolve) {
+    if (reg_id_ != reg.id()) {
+      ptr_ = &resolve(reg);
+      reg_id_ = reg.id();
+    }
+    return *ptr_;
+  }
+
+ private:
+  std::uint64_t reg_id_ = 0;  // registry ids start at 1
+  T* ptr_ = nullptr;
 };
 
 }  // namespace ragnar::obs

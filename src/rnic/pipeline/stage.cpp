@@ -9,9 +9,12 @@ namespace ragnar::rnic::pipeline {
 void Stage::note_slow(const PipelineCtx& ctx, sim::SimTime entered) const {
   const sim::SimDur dwell = ctx.t > entered ? ctx.t - entered : 0;
   if (obs::MetricsRegistry* reg = obs::metrics()) {
-    const obs::LabelSet lbl{{"stage", name()}};
-    reg->counter("rnic.stage.msgs", lbl).add();
-    reg->histogram("rnic.stage.dwell_ns", lbl).record(sim::to_ns(dwell));
+    msgs_.in(*reg, [this](obs::MetricsRegistry& r) -> obs::Counter& {
+      return r.counter("rnic.stage.msgs", {{"stage", name()}});
+    }).add();
+    dwell_.in(*reg, [this](obs::MetricsRegistry& r) -> obs::Histogram& {
+      return r.histogram("rnic.stage.dwell_ns", {{"stage", name()}});
+    }).record(sim::to_ns(dwell));
   }
   if (obs::StreamSink* sink = obs::stream()) {
     sink->publish(obs::StreamChannel::kStageDwell, ctx.t,

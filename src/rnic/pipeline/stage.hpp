@@ -50,6 +50,11 @@ class Stage {
 
  private:
   void note_slow(const PipelineCtx& ctx, sim::SimTime entered) const;
+
+  // rnic.stage.msgs / rnic.stage.dwell_ns{stage=name()}, resolved once per
+  // registry (a stage runs on its device's shard only).
+  mutable obs::Cached<obs::Counter> msgs_;
+  mutable obs::Cached<obs::Histogram> dwell_;
 };
 
 }  // namespace ragnar::rnic::pipeline

@@ -8,22 +8,6 @@
 
 namespace ragnar::rnic::pipeline {
 
-namespace {
-
-// PR 3 observability: count per-TC/opcode traffic into the ambient registry.
-// One thread-local read + branch when observability is off.
-void count_traffic(const char* name, TrafficClass tc, Opcode op,
-                   std::uint64_t bytes) {
-  if (obs::MetricsRegistry* reg = obs::metrics()) {
-    const obs::LabelSet lbl{{"tc", std::to_string(tc)},
-                            {"op", opcode_name(op)}};
-    reg->counter(name, lbl).add();
-    reg->counter(std::string(name) + "_bytes", lbl).add(bytes);
-  }
-}
-
-}  // namespace
-
 // ---------------------------------------------------------------- doorbell
 
 void DoorbellFetch::process(PipelineCtx& ctx) {
@@ -145,7 +129,7 @@ void WireEgress::process(PipelineCtx& ctx) {
                                  cfg_.pkt_header_bytes;
   ctx.t = reserve(ctx.now, ctx.t, ctx.op.tc, ctx.wire_bytes);
   counters_.count_tx(ctx.op.tc, ctx.op.op, ctx.wire_bytes, ctx.wire_pkts);
-  count_traffic("rnic.tx", ctx.op.tc, ctx.op.op, ctx.wire_bytes);
+  count_traffic(/*rx=*/false, ctx.op.tc, ctx.op.op, ctx.wire_bytes);
   if (obs::Tracer* tr = obs::tracer()) {
     tr->complete("rnic", opcode_name(ctx.op.op), ctx.now, ctx.t,
                  {{"tc", std::to_string(ctx.op.tc)},
@@ -176,11 +160,35 @@ void WireEgress::accept(PipelineCtx& ctx, bool is_request) {
   ctx.t = ingress_link_.reserve(ctx.now, ctx.wire_bytes);
   if (is_request) {
     counters_.count_rx(ctx.op.tc, ctx.op.op, ctx.wire_bytes, ctx.wire_pkts);
-    count_traffic("rnic.rx", ctx.op.tc, ctx.op.op, ctx.wire_bytes);
+    count_traffic(/*rx=*/true, ctx.op.tc, ctx.op.op, ctx.wire_bytes);
   } else {
     counters_.count_rx_raw(ctx.op.tc, ctx.wire_bytes, ctx.wire_pkts);
   }
   note(ctx, entered);
+}
+
+void WireEgress::count_traffic_slow(bool rx, TrafficClass tc, Opcode op,
+                                    std::uint64_t bytes) {
+  obs::MetricsRegistry& reg = *obs::metrics();
+  const auto resolve = [tc, op](const char* name) {
+    return [name, tc, op](obs::MetricsRegistry& r) -> obs::Counter& {
+      return r.counter(name,
+                       {{"tc", std::to_string(tc)}, {"op", opcode_name(op)}});
+    };
+  };
+  const char* msgs = rx ? "rnic.rx" : "rnic.tx";
+  const char* bytes_name = rx ? "rnic.rx_bytes" : "rnic.tx_bytes";
+  if (tc >= kNumTrafficClasses) {  // outside the table: resolve every time
+    resolve(msgs)(reg).add();
+    resolve(bytes_name)(reg).add(bytes);
+    return;
+  }
+  if (traffic_ == nullptr) traffic_ = std::make_unique<TrafficTable>();
+  TrafficMetrics& m =
+      (*traffic_)[((rx ? kNumTrafficClasses : 0) + tc) * kNumOpcodes +
+                  static_cast<std::size_t>(op)];
+  m.msgs.in(reg, resolve(msgs)).add();
+  m.bytes.in(reg, resolve(bytes_name)).add(bytes);
 }
 
 // ------------------------------------------------------------ rx admission

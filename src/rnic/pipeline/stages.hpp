@@ -1,6 +1,8 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "rnic/counters.hpp"
@@ -137,6 +139,24 @@ class WireEgress final : public Stage {
   }
 
  private:
+  // rnic.tx / rnic.rx (+ _bytes){tc, op} for an outbound request / arriving
+  // request; one thread-local load + branch when observability is off.
+  void count_traffic(bool rx, TrafficClass tc, Opcode op,
+                     std::uint64_t bytes) {
+    if (obs::current() != nullptr) count_traffic_slow(rx, tc, op, bytes);
+  }
+  void count_traffic_slow(bool rx, TrafficClass tc, Opcode op,
+                          std::uint64_t bytes);
+
+  // The count_traffic handles, indexed by (direction, tc, opcode) and
+  // allocated on the first instrumented message.
+  struct TrafficMetrics {
+    obs::Cached<obs::Counter> msgs;
+    obs::Cached<obs::Counter> bytes;
+  };
+  using TrafficTable =
+      std::array<TrafficMetrics, 2 * kNumTrafficClasses * kNumOpcodes>;
+
   WireEgressConfig cfg_;
   PortCounters& counters_;
   EtsConfig ets_;
@@ -147,6 +167,7 @@ class WireEgress final : public Stage {
   DecayedUtil egress_util_;
   sim::SimTime tx_pause_until_ = 0;
   sim::SimDur pause_deferred_total_ = 0;
+  std::unique_ptr<TrafficTable> traffic_;
 };
 
 // Arrival accounting + admission control (Grain-I pacing, partitioned-mode

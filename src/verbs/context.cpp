@@ -39,17 +39,32 @@ void note_qp_transition(std::uint32_t qpn, QpState from, QpState to,
   }
 }
 
-void note_completion(std::uint32_t qpn, const Wc& wc) {
-  obs::MetricsRegistry* reg = obs::metrics();
-  if (reg != nullptr) {
-    const obs::LabelSet op{{"op", wr_opcode_name(wc.opcode)}};
-    reg->counter("verbs.completions", op).add();
+}  // namespace
+
+void Context::note_completion(std::uint32_t qpn, const Wc& wc) {
+  if (obs::MetricsRegistry* reg = obs::metrics()) {
+    const auto op = static_cast<std::size_t>(wc.opcode);
+    const char* op_name = wr_opcode_name(wc.opcode);
+    completions_m_[op]
+        .in(*reg,
+            [op_name](obs::MetricsRegistry& r) -> obs::Counter& {
+              return r.counter("verbs.completions", {{"op", op_name}});
+            })
+        .add();
     if (wc.status == rnic::WcStatus::kSuccess) {
-      reg->histogram("verbs.op_ns", op)
+      op_ns_m_[op]
+          .in(*reg,
+              [op_name](obs::MetricsRegistry& r) -> obs::Histogram& {
+                return r.histogram("verbs.op_ns", {{"op", op_name}});
+              })
           .record(sim::to_ns(wc.latency()));
     } else {
-      reg->counter("verbs.errors",
-                   obs::LabelSet{{"status", rnic::wc_status_name(wc.status)}})
+      const char* status = rnic::wc_status_name(wc.status);
+      errors_m_[static_cast<std::size_t>(wc.status)]
+          .in(*reg,
+              [status](obs::MetricsRegistry& r) -> obs::Counter& {
+                return r.counter("verbs.errors", {{"status", status}});
+              })
           .add();
     }
   }
@@ -61,8 +76,6 @@ void note_completion(std::uint32_t qpn, const Wc& wc) {
                   {"bytes", std::to_string(wc.byte_len)}});
   }
 }
-
-}  // namespace
 
 Context::Context(fabric::Topology& fabric, rnic::Rnic* device,
                  std::string name)
@@ -272,7 +285,7 @@ bool QueuePair::consume_recv(const std::uint8_t* data, std::uint32_t len,
             std::memcpy(dst, payload.data(), payload.size());
           }
         }
-        note_completion(qpn_, wc);
+        ctx_.note_completion(qpn_, wc);
         cq_.push(wc);
       });
   return true;
@@ -418,7 +431,7 @@ void QueuePair::fail_wqe(std::uint64_t id, rnic::WcStatus status,
   wc.completed_at = at;
   pending_.erase(id);
   if (outstanding_ > 0) --outstanding_;
-  note_completion(qpn_, wc);
+  ctx_.note_completion(qpn_, wc);
   cq_.push(wc);
   // IB SQ-error semantics: the failing WQE carries its own status; every
   // other outstanding send flushes and the SQ stops accepting work.
@@ -514,7 +527,7 @@ void QueuePair::on_completion(std::uint64_t wr_id, rnic::WcStatus status,
   wc.queue_ahead = pp->queue_ahead;
   pending_.erase(wr_id);
   if (outstanding_ > 0) --outstanding_;
-  note_completion(qpn_, wc);
+  ctx_.note_completion(qpn_, wc);
   cq_.push(wc);
 }
 

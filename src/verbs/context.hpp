@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <coroutine>
 #include <cstdint>
 #include <deque>
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "fabric/topology.hpp"
+#include "obs/metrics.hpp"
 #include "rnic/memory_table.hpp"
 #include "rnic/op.hpp"
 #include "rnic/rnic.hpp"
@@ -99,7 +101,22 @@ class Context final : public rnic::RecvSink {
     return slot == nullptr ? nullptr : *slot;
   }
 
+  // Internal: observability for one completion of QP `qpn` —
+  // verbs.completions / verbs.op_ns{op}, verbs.errors{status}, and a span.
+  // One thread-local read + branch when no hub is installed.
+  void note_completion(std::uint32_t qpn, const Wc& wc);
+
  private:
+  // note_completion's handles, resolved once per registry: indexed by
+  // WrOpcode and by WcStatus.
+  static constexpr std::size_t kWrOpcodes =
+      static_cast<std::size_t>(WrOpcode::kRecv) + 1;
+  static constexpr std::size_t kWcStatuses =
+      static_cast<std::size_t>(rnic::WcStatus::kWrFlushErr) + 1;
+  std::array<obs::Cached<obs::Counter>, kWrOpcodes> completions_m_;
+  std::array<obs::Cached<obs::Histogram>, kWrOpcodes> op_ns_m_;
+  std::array<obs::Cached<obs::Counter>, kWcStatuses> errors_m_;
+
   struct LocalMap {
     std::uint64_t len;
     std::uint8_t* data;

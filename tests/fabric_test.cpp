@@ -7,8 +7,10 @@
 #include <vector>
 
 #include "fabric/topology.hpp"
+#include "obs/obs.hpp"
 #include "rnic/device_profile.hpp"
 #include "revng/testbed.hpp"
+#include "sim/engine.hpp"
 #include "sim/random.hpp"
 #include "sim/scheduler.hpp"
 #include "verbs/context.hpp"
@@ -289,6 +291,167 @@ TEST(FacadeEquivalence, FacadeShapeIsPairwiseDirect) {
       EXPECT_NE(topo.link_between(NodeRef::host(a), NodeRef::host(b)), kNoLink)
           << a << "-" << b;
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Metrics under the windowed engine: every shard records into a private
+// registry that is merged into the trial hub and cleared after each run, so
+// a hook site's cached instrument must re-resolve run after run.  The merged
+// snapshot may not depend on the shard count.
+// ---------------------------------------------------------------------------
+
+struct MetricsRun {
+  std::vector<std::pair<std::string, std::string>> cells;
+  SwitchStats tor0;
+  SwitchStats tor1;
+};
+
+MetricsRun run_instrumented_fabric(std::uint32_t shards) {
+  obs::Hub hub;
+  obs::ScopedHub scoped(&hub);
+  sim::Engine eng(sim::Engine::Options{shards, sim::kMillisecond});
+  const auto on = [shards](std::uint32_t i) {
+    return static_cast<sim::ShardId>(i % shards);
+  };
+  sim::Xoshiro256 rng(7);
+  const rnic::DeviceProfile prof = rnic::make_profile(rnic::DeviceModel::kCX5);
+  Topology::Builder b(eng);
+  std::vector<rnic::NodeId> h;
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    h.push_back(b.add_host(prof, rng.fork(), on(i)));
+  }
+  SwitchSpec pfc;  // tor0: small pool with PFC, pauses under the incast
+  pfc.name = "tor0";
+  pfc.buffer_bytes = 256u << 10;
+  pfc.pfc_xoff_bytes = 32u << 10;
+  pfc.pfc_xon_bytes = 16u << 10;
+  SwitchSpec lossy;  // tor1: PFC off, tail-drops on overflow
+  lossy.name = "tor1";
+  lossy.buffer_bytes = 24u << 10;
+  lossy.pfc_xoff_bytes = 0;
+  const auto tor0 = b.add_switch(pfc, on(0));
+  const auto tor1 = b.add_switch(lossy, on(1));
+  const auto access = LinkSpec::symmetric(sim::ns(250), 100.0);
+  b.link(NodeRef::host(h[0]), NodeRef::sw(tor0), access)
+      .link(NodeRef::host(h[1]), NodeRef::sw(tor0), access)
+      .link(NodeRef::host(h[2]), NodeRef::sw(tor1), access)
+      .link(NodeRef::host(h[3]), NodeRef::sw(tor1), access)
+      .link(NodeRef::sw(tor0), NodeRef::sw(tor1),
+            LinkSpec::symmetric(sim::ns(500), 25.0));
+  auto topo = b.build();
+  faults::FaultPlan plan = faults::FaultPlan::uniform_loss(0.02, 11);
+  plan.per_link_rng = true;  // shard-safe: keeps the windows parallel
+  topo->set_fault_plan(plan);
+
+  std::vector<std::unique_ptr<verbs::Context>> ctx;
+  for (rnic::NodeId n : h) {
+    ctx.push_back(std::make_unique<verbs::Context>(*topo, topo->host(n),
+                                                   "h" + std::to_string(n)));
+  }
+  verbs::QpConfig qcfg;
+  qcfg.timeout = sim::us(40);  // lost writes retransmit
+  qcfg.retry_cnt = 7;
+  struct Conn {
+    std::unique_ptr<verbs::ProtectionDomain> spd, dpd;
+    std::unique_ptr<verbs::CompletionQueue> scq, dcq;
+    std::unique_ptr<verbs::QueuePair> sqp, dqp;
+    std::unique_ptr<verbs::MemoryRegion> smr, dmr;
+  };
+  const auto connect = [&](std::size_t src, std::size_t dst) {
+    Conn c;
+    c.spd = ctx[src]->alloc_pd();
+    c.dpd = ctx[dst]->alloc_pd();
+    c.scq = ctx[src]->create_cq();
+    c.dcq = ctx[dst]->create_cq();
+    c.smr = c.spd->register_mr(1u << 16);
+    c.dmr = c.dpd->register_mr(1u << 16);
+    c.sqp = c.spd->create_qp(*c.scq, qcfg);
+    c.dqp = c.dpd->create_qp(*c.dcq, qcfg);
+    EXPECT_EQ(c.sqp->connect(*c.dqp), verbs::ConnectResult::kOk);
+    return c;
+  };
+  // Incast through tor0's uplink, and the reverse direction through tor1's
+  // undersized pool; READs and WRITEs so several opcodes are counted.
+  std::vector<Conn> conns;
+  conns.push_back(connect(0, 2));
+  conns.push_back(connect(1, 3));
+  conns.push_back(connect(2, 0));
+  conns.push_back(connect(3, 1));
+  for (std::size_t c = 0; c < conns.size(); ++c) {
+    for (std::uint64_t i = 0; i < 32; ++i) {
+      verbs::SendWr wr;
+      wr.wr_id = i;
+      wr.opcode = (c + i) % 3 == 0 ? verbs::WrOpcode::kRdmaRead
+                                   : verbs::WrOpcode::kRdmaWrite;
+      wr.local_addr = conns[c].smr->addr();
+      wr.length = 4096;
+      wr.remote_addr = conns[c].dmr->addr();
+      wr.rkey = conns[c].dmr->rkey();
+      EXPECT_EQ(conns[c].sqp->post_send(wr), verbs::PostResult::kOk);
+    }
+  }
+  // A bad rkey fails the last QP with a remote access error.
+  verbs::SendWr bad;
+  bad.opcode = verbs::WrOpcode::kRdmaWrite;
+  bad.local_addr = conns.back().smr->addr();
+  bad.length = 64;
+  bad.remote_addr = conns.back().dmr->addr();
+  bad.rkey = conns.back().dmr->rkey() + 1;
+  EXPECT_EQ(conns.back().sqp->post_send(bad), verbs::PostResult::kOk);
+
+  // Several runs: the shard registries are merged and cleared after each.
+  eng.run_until(sim::us(20));
+  eng.run_until(sim::us(200));
+  eng.run_until(sim::ms(20));
+
+  MetricsRun out;
+  for (const obs::MetricCell& c : hub.metrics().snapshot().cells) {
+    out.cells.emplace_back(c.column, c.value);
+  }
+  out.tor0 = topo->switch_stats(tor0);
+  out.tor1 = topo->switch_stats(tor1);
+  return out;
+}
+
+const std::string* cell(const MetricsRun& run, const std::string& column) {
+  for (const auto& [k, v] : run.cells) {
+    if (k == column) return &v;
+  }
+  return nullptr;
+}
+
+TEST(EngineMetrics, HubSnapshotIsShardCountInvariant) {
+  const MetricsRun one = run_instrumented_fabric(1);
+  // The workload reaches every fabric and verbs hook, and the counters
+  // agree with the model's own obs-free accounting.
+  for (const char* column : {"fabric.delivered",
+                             "fabric.wire_bytes",
+                             "fabric.verdicts{verdict=drop}",
+                             "fabric.verdicts{verdict=deliver}",
+                             "fabric.switch.buffer_bytes{switch=tor0}",
+                             "fabric.pfc.pause_ps{switch=tor0}",
+                             "verbs.completions{op=READ}",
+                             "verbs.completions{op=WRITE}",
+                             "verbs.op_ns{op=WRITE}.count",
+                             "verbs.errors{status=REMOTE_ACCESS_ERROR}",
+                             "rnic.tx{op=WRITE,tc=0}",
+                             "rnic.stage.msgs{stage=tx_arbiter}"}) {
+    EXPECT_NE(cell(one, column), nullptr) << column;
+  }
+  ASSERT_GT(one.tor0.pause_events, 0u);
+  ASSERT_GT(one.tor1.drops, 0u);
+  const std::string* pauses =
+      cell(one, "fabric.pfc.pause_events{switch=tor0}");
+  ASSERT_NE(pauses, nullptr);
+  EXPECT_EQ(*pauses, std::to_string(one.tor0.pause_events));
+  const std::string* drops = cell(one, "fabric.switch.drops{switch=tor1}");
+  ASSERT_NE(drops, nullptr);
+  EXPECT_EQ(*drops, std::to_string(one.tor1.drops));
+
+  for (std::uint32_t shards : {2u, 4u}) {
+    const MetricsRun many = run_instrumented_fabric(shards);
+    EXPECT_EQ(many.cells, one.cells) << shards << " shards";
   }
 }
 

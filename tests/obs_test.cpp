@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <new>
 #include <sstream>
 #include <string>
 #include <type_traits>
@@ -51,6 +52,83 @@ TEST(MetricsRegistry, AccessorsReturnStableRefs) {
   EXPECT_EQ(reg.counter("ops").value(), 5u);
   reg.gauge("depth").set(7.5);
   EXPECT_DOUBLE_EQ(reg.gauge("depth").value(), 7.5);
+}
+
+// --- cached instrument handles -----------------------------------------------
+
+TEST(MetricsRegistry, IdsAreUniqueAndClearDrawsANewOne) {
+  obs::MetricsRegistry a;
+  obs::MetricsRegistry b;
+  EXPECT_NE(a.id(), 0u);
+  EXPECT_NE(a.id(), b.id());
+  const std::uint64_t before = a.id();
+  a.clear();
+  EXPECT_NE(a.id(), before);
+  EXPECT_NE(a.id(), b.id());
+}
+
+TEST(CachedHandle, ResolvesOncePerRegistryAndAgainAfterClear) {
+  obs::Cached<obs::Counter> h;
+  int resolves = 0;
+  const auto resolve = [&resolves](obs::MetricsRegistry& r) -> obs::Counter& {
+    ++resolves;
+    return r.counter("rnic.stage.msgs", {{"stage", "tx_arbiter"}});
+  };
+  obs::MetricsRegistry reg;
+  for (int i = 0; i < 5; ++i) h.in(reg, resolve).add();
+  EXPECT_EQ(resolves, 1);
+  // The handle records into the same instrument the string path names.
+  EXPECT_EQ(reg.counter("rnic.stage.msgs", {{"stage", "tx_arbiter"}}).value(),
+            5u);
+
+  // clear() frees the instrument; the handle must not write through its
+  // stale pointer but re-resolve into the fresh one.
+  reg.clear();
+  h.in(reg, resolve).add(2);
+  EXPECT_EQ(resolves, 2);
+  const obs::MetricsSnapshot snap = reg.snapshot();
+  ASSERT_EQ(snap.cells.size(), 1u);
+  EXPECT_EQ(snap.cells[0].column, "rnic.stage.msgs{stage=tx_arbiter}");
+  EXPECT_EQ(snap.cells[0].value, "2");
+}
+
+TEST(CachedHandle, FollowsTheRegistryItIsGiven) {
+  obs::Cached<obs::Histogram> h;
+  const auto resolve = [](obs::MetricsRegistry& r) -> obs::Histogram& {
+    return r.histogram("verbs.op_ns", {{"op", "READ"}});
+  };
+  obs::MetricsRegistry a;
+  obs::MetricsRegistry b;
+  h.in(a, resolve).record(10);
+  h.in(b, resolve).record(20);
+  h.in(b, resolve).record(30);
+  h.in(a, resolve).record(40);
+  EXPECT_EQ(a.histogram("verbs.op_ns", {{"op", "READ"}}).count(), 2u);
+  EXPECT_DOUBLE_EQ(a.histogram("verbs.op_ns", {{"op", "READ"}}).sum(), 50.0);
+  EXPECT_EQ(b.histogram("verbs.op_ns", {{"op", "READ"}}).count(), 2u);
+  EXPECT_DOUBLE_EQ(b.histogram("verbs.op_ns", {{"op", "READ"}}).sum(), 50.0);
+}
+
+// A registry built where a destroyed one lived (trial hubs are allocated
+// and freed back to back) still gets a fresh id, so a handle cached against
+// the dead registry re-resolves instead of writing into freed memory.
+TEST(CachedHandle, ReResolvesInARegistryThatReusesAnAddress) {
+  obs::Cached<obs::Counter> h;
+  int resolves = 0;
+  const auto resolve = [&resolves](obs::MetricsRegistry& r) -> obs::Counter& {
+    ++resolves;
+    return r.counter("fabric.delivered");
+  };
+  alignas(obs::MetricsRegistry) unsigned char
+      slot[sizeof(obs::MetricsRegistry)];
+  auto* first = new (slot) obs::MetricsRegistry();
+  h.in(*first, resolve).add();
+  first->~MetricsRegistry();
+  auto* second = new (slot) obs::MetricsRegistry();
+  h.in(*second, resolve).add();
+  EXPECT_EQ(resolves, 2);
+  EXPECT_EQ(second->counter("fabric.delivered").value(), 1u);
+  second->~MetricsRegistry();
 }
 
 TEST(Histogram, QuantilesWithinLogLinearError) {
