@@ -1,6 +1,8 @@
 #include "sim/scheduler.hpp"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <utility>
 
 #include "sim/coro.hpp"
@@ -15,7 +17,17 @@ Scheduler::~Scheduler() {
   tasks_.clear();
 }
 
-void Scheduler::note_past_clamp() {
+void Scheduler::note_past_clamp(SimTime t) {
+#ifdef RAGNAR_SANITIZE
+  std::fprintf(stderr,
+               "sim::Scheduler: event scheduled into the past (at %llu ps, "
+               "now %llu ps)\n",
+               static_cast<unsigned long long>(t),
+               static_cast<unsigned long long>(now_));
+  std::abort();
+#else
+  (void)t;
+#endif
   ++past_clamps_;
   total_past_clamps_.fetch_add(1, std::memory_order_relaxed);
 }

@@ -29,12 +29,12 @@ class Scheduler {
   // Schedule a callable at an absolute / relative time.  The callable is
   // built in place in the event queue's slab (sim::InlineFn): a capture of
   // up to 160 bytes costs no allocation.  Scheduling in the past is an
-  // error in the model; it is clamped to `now` and counted in
-  // past_clamps().
+  // error in the model: sanitizer builds (RAGNAR_SANITIZE) abort on it,
+  // release builds clamp it to `now` and count it in past_clamps().
   template <typename F>
   void at(SimTime t, F&& fn) {
     if (t < now_) [[unlikely]] {
-      note_past_clamp();
+      note_past_clamp(t);
       t = now_;
     }
     queue_.push(t, std::forward<F>(fn));
@@ -89,7 +89,7 @@ class Scheduler {
 
  private:
   void reap_finished_tasks();
-  void note_past_clamp();
+  void note_past_clamp(SimTime t);
 
   EventQueue queue_;
   SimTime now_ = 0;

@@ -405,6 +405,20 @@ TEST(Scheduler, RunUntil) {
   EXPECT_EQ(fired, 2);
 }
 
+#ifdef RAGNAR_SANITIZE
+// Sanitizer builds assert the invariant instead of repairing it.
+TEST(SchedulerDeathTest, PastSchedulingAbortsUnderSanitizers) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        Scheduler s;
+        s.run_until(us(10));
+        s.at(us(3), [] {});
+      },
+      "scheduled into the past");
+}
+#else
+// Release builds clamp to `now` and count.
 TEST(Scheduler, PastSchedulingClamps) {
   Scheduler s;
   s.at(us(3), [&] {
@@ -428,6 +442,7 @@ TEST(Scheduler, PastAtRunsAtNowAndIsCounted) {
   EXPECT_EQ(s.now(), us(10));
   EXPECT_EQ(Scheduler::total_past_clamps() - total_before, 1u);
 }
+#endif  // RAGNAR_SANITIZE
 
 TEST(Coro, SleepSequence) {
   Scheduler s;
