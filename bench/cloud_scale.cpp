@@ -1,4 +1,4 @@
-// cloud_scale: the sharded-engine scale-out scenario (docs/ENGINE.md §6).
+// cloud_scale: the sharded-engine scale-out scenario (docs/ENGINE.md §5).
 // R racks — per rack one client host, one server host, and a ToR — joined
 // by a full ToR-to-ToR mesh.  T tenants are spread round-robin over the
 // racks; tenant i on rack r runs a closed-loop stream of 2 KiB READs
@@ -50,7 +50,6 @@ struct ScaleResult {
   // Host-timing (stderr) half.
   std::uint64_t events = 0;
   std::uint64_t windows = 0;
-  unsigned workers = 1;
   double wall_ms = 0;
 };
 
@@ -161,7 +160,6 @@ ScaleResult run_scale(std::uint64_t seed, std::size_t tenants,
   }
   res.events = eng.events_processed();
   res.windows = eng.windows_run();
-  res.workers = eng.workers();
   res.wall_ms =
       std::chrono::duration<double, std::milli>(w1 - w0).count();
   return res;
@@ -204,10 +202,9 @@ RAGNAR_SCENARIO(cloud_scale, "cloud",
                 static_cast<unsigned long long>(r.min_tenant_ops),
                 static_cast<unsigned long long>(r.max_tenant_ops));
     std::fprintf(stderr,
-                 "[cloud_scale] tenants=%zu workers=%u windows=%llu "
-                 "events=%llu wall_ms=%.1f events_per_sec=%.0f\n",
-                 tenants, r.workers,
-                 static_cast<unsigned long long>(r.windows),
+                 "[cloud_scale] tenants=%zu windows=%llu events=%llu "
+                 "wall_ms=%.1f events_per_sec=%.0f\n",
+                 tenants, static_cast<unsigned long long>(r.windows),
                  static_cast<unsigned long long>(r.events), r.wall_ms,
                  r.wall_ms > 0
                      ? static_cast<double>(r.events) / (r.wall_ms / 1e3)

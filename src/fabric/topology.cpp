@@ -86,7 +86,7 @@ LinkId Topology::link(NodeRef a, NodeRef b, const LinkSpec& spec) {
   l.spec = spec;
   l.ser[0].configure(spec.gbps, 0);
   l.ser[1].configure(spec.gbps, 0);
-  link_bytes_.resize_slots(links_.size());
+  link_bytes_.push_back(0);
   if (a.is_host() && b.is_host()) {
     // Direct links route without tables; register both directions.
     const auto key_ab = (a.id << 16) | b.id;
@@ -118,23 +118,12 @@ std::vector<LinkId> Topology::links_between(NodeRef a, NodeRef b) const {
 }
 
 std::uint64_t Topology::link_bytes(LinkId id) const {
-  return link_bytes_.sum(id);
+  return link_bytes_[id];
 }
 
 void Topology::set_fault_plan(const faults::FaultPlan& plan) {
   injector_ =
       plan.active() ? std::make_unique<faults::FaultInjector>(plan) : nullptr;
-  // Per-link plans pre-create every slot here so the hot path never inserts
-  // while shards run in parallel.
-  if (injector_ != nullptr) injector_->reserve_links(links_.size());
-  // A shared-stream plan draws from one RNG for every link, so parallel
-  // shard execution would make verdict order racy — it forces serial
-  // windows.  Per-link streams are consulted only from the shard that owns
-  // the hop's transmitting node, so they keep the parallel speedup.
-  if (engine_ != nullptr) {
-    engine_->set_serial_windows(injector_ != nullptr &&
-                                !injector_->plan().per_link_rng);
-  }
 }
 
 void Topology::ensure_routes() {
@@ -321,7 +310,7 @@ void Topology::hop(const rnic::InFlightMsg& msg, NodeRef at, sim::SimTime t) {
     t_out = switch_egress(at.id, link_id, dir, t, msg.wire_bytes);
     if (t_out == kDropped) return;
   }
-  link_bytes_.at(stats_shard(), link_id) += msg.wire_bytes;
+  link_bytes_[link_id] += msg.wire_bytes;
   const sim::SimDur prop = reverse ? l.spec.lat_ba : l.spec.lat_ab;
   sim::SimTime arrive = t_out + prop;
   if (!next.is_host()) arrive += switches_[next.id].spec.forward_lat;

@@ -17,7 +17,6 @@
 #include "sim/random.hpp"
 #include "sim/resource.hpp"
 #include "sim/scheduler.hpp"
-#include "sim/sharded.hpp"
 
 // The simulated network as an explicit multi-hop topology.
 //
@@ -128,9 +127,7 @@ class Topology : public rnic::FabricPort {
   explicit Topology(sim::Engine& engine)
       : sched_(engine.legacy_scheduler()),
         engine_(&engine),
-        shard_metrics_(std::max<std::uint32_t>(engine.shard_count(), 1)) {
-    link_bytes_.reset(engine.shard_count(), 0);
-  }
+        shard_metrics_(std::max<std::uint32_t>(engine.shard_count(), 1)) {}
   Topology(const Topology&) = delete;
   Topology& operator=(const Topology&) = delete;
 
@@ -219,7 +216,7 @@ class Topology : public rnic::FabricPort {
   // executes the hop, each recording into its own shard registry.
   static constexpr std::size_t kVerdicts =
       static_cast<std::size_t>(faults::Verdict::kFlapDrop) + 1;
-  struct alignas(64) ShardMetrics {
+  struct ShardMetrics {
     obs::Cached<obs::Counter> delivered;
     obs::Cached<obs::Counter> wire_bytes;
     std::array<obs::Cached<obs::Counter>, kVerdicts> verdicts;
@@ -293,9 +290,7 @@ class Topology : public rnic::FabricPort {
   std::vector<sim::ShardId> host_shard_;
   std::vector<Switch> switches_;
   std::vector<Link> links_;
-  // Per link, both directions.  Shard-private rows (a link's two endpoints
-  // may execute on different shards); fold with link_bytes().
-  sim::PerShardSlots<std::uint64_t> link_bytes_;
+  std::vector<std::uint64_t> link_bytes_;  // per link, both directions
   std::vector<ShardMetrics> shard_metrics_;  // indexed by stats_shard()
   // Direct host-host links: (src << 16 | dst) -> LinkId fast path.
   sim::FlatMap<std::uint32_t, LinkId> direct_;

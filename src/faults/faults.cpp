@@ -48,25 +48,11 @@ std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t chain_key) {
 FaultInjector::FaultInjector(FaultPlan plan)
     : plan_(std::move(plan)), rng_(plan_.seed) {}
 
-void FaultInjector::reserve_links(std::size_t n_links) {
-  if (!plan_.per_link_rng) return;
-  slots_.reserve(2 * n_links + 2);
-  for (std::size_t i = 0; i < n_links; ++i) {
-    const std::uint64_t link = static_cast<std::uint64_t>(i) << 1;
-    slot_for(link);
-    slot_for(link | 1);
-  }
-  // decide() on a hop with no LinkId still keys a (shared) slot.
-  const std::uint64_t none = static_cast<std::uint64_t>(kNoLink) << 1;
-  slot_for(none);
-  slot_for(none | 1);
-}
-
 FaultInjector::LinkSlot& FaultInjector::slot_for(std::uint64_t chain_key) {
   LinkSlot* s = slots_.find(chain_key);
   if (s != nullptr) return *s;
-  // Insertion path: reached only before parallel execution (reserve_links)
-  // or from single-threaded standalone use — never on a parallel hot path.
+  // Created on first use: the stream is seeded from the chain key alone, so
+  // creation order never changes what a link draws.
   return *slots_.try_emplace(chain_key, mix_seed(plan_.seed, chain_key)).first;
 }
 

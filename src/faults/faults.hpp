@@ -111,9 +111,10 @@ struct FaultPlan {
   // and stays byte-identical.  With per-link streams every verdict depends
   // only on (seed, link, that link's own message order) — and each directed
   // link is only ever consulted from the shard that owns its transmitting
-  // node — so an armed plan no longer forces the engine into serial
-  // windows.  The two modes draw different random sequences: flipping this
-  // flag changes verdicts, not just their schedule.
+  // node — so a windowed run's verdicts are the same for any shard count.
+  // The shared stream is drawn in shard execution order, which is not.
+  // The two modes draw different random sequences: flipping this flag
+  // changes verdicts, not just their schedule.
   bool per_link_rng = false;
 
   bool active() const { return enabled; }
@@ -192,13 +193,6 @@ class FaultInjector {
   Decision decide(const LinkHop& hop, rnic::NodeId requester,
                   sim::SimTime on_wire);
 
-  // Pre-create the per-link RNG slots for links [0, n_links) plus the
-  // kNoLink slot.  A per_link_rng plan consulted from parallel shards must
-  // never insert into the slot table on the hot path (insertion is the only
-  // cross-link mutation); Topology::set_fault_plan calls this at arm time.
-  // No-op for shared-stream plans.
-  void reserve_links(std::size_t n_links);
-
   const FaultPlan& plan() const { return plan_; }
   // Aggregated over the per-link slots when per_link_rng is set.
   FaultStats stats() const;
@@ -212,8 +206,8 @@ class FaultInjector {
   };
 
   // One directed link's private stream under per_link_rng: its own RNG,
-  // Gilbert-Elliott chain, and stats counters, so concurrent shards never
-  // touch another link's state.
+  // Gilbert-Elliott chain, and stats counters, so no other link's traffic
+  // moves its draws.
   struct LinkSlot {
     explicit LinkSlot(std::uint64_t seed) : rng(seed) {}
     sim::Xoshiro256 rng;

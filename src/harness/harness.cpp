@@ -8,8 +8,6 @@
 #include <memory>
 #include <thread>
 
-#include "sim/concurrency.hpp"
-
 namespace ragnar::harness {
 
 namespace {
@@ -283,15 +281,7 @@ std::size_t SweepRunner::add(std::string label, TrialFn fn) {
 
 SweepReport SweepRunner::run(const Options& opts) {
   SweepReport report;
-  // Lease workers from the process-wide budget rather than trusting the
-  // requested count: a sweep nested under other parallel work (run-all's
-  // scenario jobs, a windowed engine's shard pool) degrades toward serial
-  // instead of oversubscribing the machine.
-  sim::ConcurrencyBudget::Lease lease =
-      sim::ConcurrencyBudget::instance().acquire(
-          static_cast<unsigned>(resolve_jobs(opts.jobs)),
-          /*exact=*/opts.jobs != 0);
-  report.jobs = lease.workers();
+  report.jobs = resolve_jobs(opts.jobs);
   report.trials.resize(trials_.size());
   const auto run_start = Clock::now();
 

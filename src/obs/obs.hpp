@@ -18,9 +18,11 @@
 //
 // Ownership discipline mirrors the harness determinism contract: one hub
 // per trial, installed (via ScopedHub) only for the duration of that trial
-// on whichever worker thread runs it.  Nothing in here takes a lock; the
-// ambient slot is thread-local and a hub is only ever touched by the thread
-// it is installed on.
+// on whichever sweep worker thread runs it.  A windowed sim::Engine swaps
+// in each shard's private hub while that shard executes a window, on the
+// same thread.  Nothing in here takes a lock; the ambient slot is
+// thread-local and a hub is only ever touched by the thread it is
+// installed on.
 namespace ragnar::obs {
 
 class Hub {

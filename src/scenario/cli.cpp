@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "scenario/scenario.hpp"
-#include "sim/concurrency.hpp"
 
 namespace ragnar::scenario {
 
@@ -132,10 +131,6 @@ std::string per_scenario_path(const std::string& path, const char* name) {
 int run_selected(const std::vector<const Scenario*>& selected,
                  const Options& opt) {
   if (!opt.trace_path.empty()) arm_process_trace(opt.trace_path);
-  // One process-wide thread budget, seeded from --jobs: sweeps and engine
-  // shard pools lease from it instead of each sizing against the hardware.
-  sim::ConcurrencyBudget::instance().set_total(
-      static_cast<unsigned>(opt.jobs));
   int rc = 0;
   for (std::size_t i = 0; i < selected.size(); ++i) {
     const Scenario* s = selected[i];
@@ -147,6 +142,7 @@ int run_selected(const std::vector<const Scenario*>& selected,
     }
     ScenarioContext ctx(per);
     const int one = s->run(ctx);
+    ctx.finish();
     if (one != 0) {
       std::fprintf(stderr, "[ragnar] scenario %s returned %d\n", s->name, one);
       if (one > rc) rc = one;

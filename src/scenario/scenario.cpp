@@ -175,16 +175,33 @@ harness::SweepReport ScenarioContext::run_sweep(
     json_sweeps_ += "\", \"trials\": ";
     json_sweeps_ += report.to_json();
     json_sweeps_ += "}";
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (f != nullptr) {
-      std::fprintf(f, "[\n%s\n]\n", json_sweeps_.c_str());
-      std::fclose(f);
-    } else {
-      std::fprintf(stderr, "[harness] WARNING: could not write JSON %s\n",
-                   json_path.c_str());
-    }
+    write_json();
   }
   return report;
+}
+
+void ScenarioContext::finish() const {
+  if (json_path.empty() || !json_sweeps_.empty()) return;
+  if (write_json()) {
+    std::fprintf(stderr, "[harness] no sweep ran: %s holds no trials\n",
+                 json_path.c_str());
+  }
+}
+
+bool ScenarioContext::write_json() const {
+  std::FILE* f = std::fopen(json_path.c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "[harness] WARNING: could not write JSON %s\n",
+                 json_path.c_str());
+    return false;
+  }
+  if (json_sweeps_.empty()) {
+    std::fputs("[]\n", f);
+  } else {
+    std::fprintf(f, "[\n%s\n]\n", json_sweeps_.c_str());
+  }
+  std::fclose(f);
+  return true;
 }
 
 }  // namespace ragnar::scenario

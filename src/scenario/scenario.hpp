@@ -94,7 +94,14 @@ class ScenarioContext {
   harness::SweepReport run_sweep(harness::SweepRunner& sweep, const char* name,
                                  const harness::SweepRunner::Options& o) const;
 
+  // Called once the scenario returns.  A --json file already holds every
+  // sweep that ran; a scenario that ran none still gets one, holding `[]`,
+  // and a stderr note saying so.
+  void finish() const;
+
  private:
+  bool write_json() const;  // false (and a stderr warning) on failure
+
   // --json output of the sweeps run so far, `{"sweep": ..., "trials": [...]}`
   // objects joined by ",\n"; the file is rewritten whole after every sweep.
   mutable std::string json_sweeps_;

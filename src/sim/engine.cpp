@@ -10,8 +10,6 @@
 
 namespace ragnar::sim {
 
-thread_local Engine::ExecContext Engine::t_exec;
-
 Engine::Engine(const Options& opts)
     : windowed_(opts.shards > 0),
       lookahead_(std::max<SimDur>(1, opts.max_lookahead)) {
@@ -20,21 +18,6 @@ Engine::Engine(const Options& opts)
   for (std::uint32_t i = 0; i < n; ++i) {
     shards_.push_back(std::make_unique<ShardState>());
     shards_.back()->out.reset(n);
-  }
-  if (windowed_ && n > 1) {
-    lease_ = ConcurrencyBudget::instance().acquire(n);
-    workers_ = std::min<unsigned>(lease_.workers(), n);
-  }
-}
-
-Engine::~Engine() {
-  if (!threads_.empty()) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      shutdown_.store(true, std::memory_order_release);
-    }
-    cv_work_.notify_all();
-    for (std::thread& t : threads_) t.join();
   }
 }
 
@@ -45,10 +28,10 @@ SimTime Engine::now() const {
 }
 
 SimTime Engine::local_now() const {
-  return t_exec.state != nullptr ? t_exec.state->sched.now() : now();
+  return exec_.state != nullptr ? exec_.state->sched.now() : now();
 }
 
-ShardId Engine::current_shard() const { return t_exec.id; }
+ShardId Engine::current_shard() const { return exec_.id; }
 
 void Engine::spawn(Task actor, ShardId s) {
   shards_[s]->sched.spawn(std::move(actor));
@@ -117,7 +100,8 @@ void Engine::run_windows(SimTime bound, bool bounded,
     SimTime upto = t_min + (lookahead_ - 1);
     if (upto < t_min) upto = ~SimTime{0};
     if (bounded && upto > bound) upto = bound;
-    exec_window(upto);
+    window_upto_ = upto;
+    for (ShardId s = 0; s < shard_count(); ++s) exec_shard_window(s, upto);
     ++windows_;
   }
   if (bounded) {
@@ -158,75 +142,22 @@ bool Engine::earliest_event(SimTime* t) const {
   return any;
 }
 
-void Engine::exec_window(SimTime upto) {
-  window_upto_ = upto;
-  if (workers_ <= 1 || serial_windows_) {
-    for (ShardId s = 0; s < shard_count(); ++s) exec_shard_window(s, upto);
-    return;
-  }
-  start_workers();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    done_.store(0, std::memory_order_relaxed);
-    gen_.fetch_add(1, std::memory_order_release);
-  }
-  cv_work_.notify_all();
-  run_worker_share(0, upto);
-  // Spin-wait for the other workers; windows are short and frequent, and
-  // the workers finish the moment their shards drain.
-  const unsigned expect = workers_ - 1;
-  while (done_.load(std::memory_order_acquire) != expect) {
-    std::this_thread::yield();
-  }
-}
-
 void Engine::exec_shard_window(ShardId s, SimTime upto) {
   ShardState& st = *shards_[s];
-  t_exec.state = &st;
-  t_exec.id = s;
+  exec_.state = &st;
+  exec_.id = s;
   obs::Hub* prev = nullptr;
   if (record_obs_) prev = obs::install(st.hub.get());
   st.sched.run_until(upto);
   if (record_obs_) obs::install(prev);
-  t_exec.state = nullptr;
-  t_exec.id = kNoShard;
-}
-
-void Engine::run_worker_share(unsigned worker_id, SimTime upto) {
-  for (ShardId s = worker_id; s < shard_count(); s += workers_) {
-    exec_shard_window(s, upto);
-  }
-}
-
-void Engine::start_workers() {
-  if (!threads_.empty()) return;
-  threads_.reserve(workers_ - 1);
-  for (unsigned w = 1; w < workers_; ++w) {
-    threads_.emplace_back([this, w] { worker_main(w); });
-  }
-}
-
-void Engine::worker_main(unsigned worker_id) {
-  std::uint64_t seen = 0;
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_work_.wait(lock, [&] {
-        return gen_.load(std::memory_order_acquire) != seen ||
-               shutdown_.load(std::memory_order_acquire);
-      });
-    }
-    if (shutdown_.load(std::memory_order_acquire)) return;
-    seen = gen_.load(std::memory_order_acquire);
-    run_worker_share(worker_id, window_upto_);
-    done_.fetch_add(1, std::memory_order_release);
-  }
+  exec_ = ExecContext{};
 }
 
 void Engine::arm_shard_hubs() {
   // Shard hubs inherit the parent's streaming config so model hooks publish
-  // per-shard (no cross-thread sink contention inside a window); tracing
-  // stays parent-only — span rings are drained per trial, not per window.
+  // per-shard; merging them in shard order after the run is what keeps the
+  // stream sequence shard-count invariant.  Tracing stays parent-only —
+  // span rings are drained per trial, not per window.
   obs::Hub::Config cfg;
   if (obs::Hub* parent = obs::current()) {
     cfg.streaming = parent->config().streaming;

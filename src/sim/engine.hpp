@@ -1,16 +1,11 @@
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <utility>
 #include <vector>
 
-#include "sim/concurrency.hpp"
 #include "sim/mailbox.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/time.hpp"
@@ -30,19 +25,18 @@ class Hub;
 //     byte-for-byte identical to driving a Scheduler directly — all
 //     pre-engine scenario goldens are preserved through this path.
 //
-//   * windowed (Options::shards >= 1): conservative parallel DES.  Time
+//   * windowed (Options::shards >= 1): conservative windowed DES.  Time
 //     advances in windows [T, T+L) where T is the earliest pending event
 //     across all shards and L is the lookahead — the minimum cross-node
 //     propagation latency the fabric registered via constrain_lookahead().
-//     Within a window every shard runs its local events independently (in
-//     parallel when the ConcurrencyBudget grants workers); events one node
-//     generates for another are at least L in the future, so they land in
-//     the *next* window and are exchanged at the barrier through per-shard
-//     mailboxes, merged in a shard-count-independent order (mailbox.hpp).
-//     The window schedule is a pure function of event timestamps, so a
-//     windowed run's output is identical for 1 shard or N, with any number
-//     of worker threads — the determinism contract tests assert exactly
-//     this.
+//     Within a window the shards run their local events one after another,
+//     in shard order, on the calling thread; events one node generates for
+//     another are at least L in the future, so they land in the *next*
+//     window and are exchanged at the barrier through per-shard mailboxes,
+//     merged in a shard-count-independent order (mailbox.hpp).  The window
+//     schedule is a pure function of event timestamps, so a windowed run's
+//     output is identical for 1 shard or N — the determinism contract tests
+//     assert exactly this.
 //
 // The two modes are not byte-identical to each other: legacy predicate
 // stops are event-granular while windowed stops are barrier-granular, and
@@ -70,7 +64,6 @@ class Engine {
   explicit Engine(const Options& opts);
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
-  ~Engine();
 
   bool windowed() const { return windowed_; }
   std::uint32_t shard_count() const {
@@ -88,7 +81,7 @@ class Engine {
   // The executing shard's clock when called from inside a window (where
   // shard clocks legitimately diverge within the lookahead), else now().
   SimTime local_now() const;
-  // Shard currently executing on this thread; kNoShard outside a window.
+  // Shard currently executing a window; kNoShard outside a window.
   ShardId current_shard() const;
 
   // Start an actor coroutine on a shard.  The actor must only touch state
@@ -106,10 +99,10 @@ class Engine {
   // the mailbox slot.
   template <typename F>
   void post(ShardId to, SimTime t, std::uint64_t origin, F&& fn) {
-    ShardState* cur = t_exec.state;
+    ShardState* cur = exec_.state;
     if (!windowed_ || cur == nullptr) {
-      // Legacy mode, or coordinator code running between windows: schedule
-      // straight into the destination queue (deterministic — one thread).
+      // Legacy mode, or code running between windows: schedule straight
+      // into the destination queue.
       shards_[to]->sched.at(t, std::forward<F>(fn));
       return;
     }
@@ -121,13 +114,6 @@ class Engine {
   // this with each link's propagation latency; must happen before running.
   void constrain_lookahead(SimDur lat);
   SimDur lookahead() const { return lookahead_; }
-
-  // Force windows to execute serially on the calling thread even when
-  // worker threads are available.  The fault injector needs this: its RNG
-  // stream is shared across links, so parallel shard execution would make
-  // draw order racy.  Output stays deterministic, parallel speedup is lost.
-  void set_serial_windows(bool serial) { serial_windows_ = serial; }
-  bool serial_windows() const { return serial_windows_; }
 
   // --- run loop -----------------------------------------------------------
   // Run all events with timestamp <= t, then advance every clock to t.
@@ -143,8 +129,9 @@ class Engine {
   std::uint64_t events_processed() const;
   std::uint64_t windows_run() const { return windows_; }
   std::uint64_t mail_delivered() const { return mail_delivered_; }
-  // Worker threads the ConcurrencyBudget granted (1 = serial).
-  unsigned workers() const { return workers_; }
+  // Threads executing windows: always 1, the caller's.  Kept for reports
+  // that record it next to the shard count.
+  unsigned workers() const { return 1; }
 
  private:
   struct ShardState {
@@ -152,30 +139,22 @@ class Engine {
     Outbox out;
     std::unique_ptr<obs::Hub> hub;  // per-shard metrics, merged after runs
   };
-  // The shard this thread is currently executing a window for.  A
-  // thread-local (not a member): each worker sees only its own slot, the
-  // coordinator's slot stays null outside serial execution.
+  // The shard currently executing a window; null outside windows.
   struct ExecContext {
     ShardState* state = nullptr;
     ShardId id = kNoShard;
   };
-  static thread_local ExecContext t_exec;
 
   [[noreturn]] void lookahead_violation(SimTime t) const;
   void run_windows(SimTime bound, bool bounded,
                    const std::function<bool()>* pred);
   void drain_all_mail();
   bool earliest_event(SimTime* t) const;
-  void exec_window(SimTime upto);
   void exec_shard_window(ShardId s, SimTime upto);
-  void run_worker_share(unsigned worker_id, SimTime upto);
-  void start_workers();
-  void worker_main(unsigned worker_id);
   void arm_shard_hubs();
   void merge_shard_metrics();
 
   bool windowed_ = false;
-  bool serial_windows_ = false;
   SimDur lookahead_;
   std::vector<std::unique_ptr<ShardState>> shards_;
   std::vector<MailKey> drain_keys_;
@@ -183,18 +162,8 @@ class Engine {
   std::uint64_t mail_delivered_ = 0;
   // Inclusive end of the window being executed; post() validates against it.
   SimTime window_upto_ = 0;
-  bool in_window_ = false;
   bool record_obs_ = false;
-
-  // Worker pool (windowed mode; thread 0 is the caller).
-  ConcurrencyBudget::Lease lease_;
-  unsigned workers_ = 1;
-  std::vector<std::thread> threads_;
-  std::mutex mu_;
-  std::condition_variable cv_work_;
-  std::atomic<std::uint64_t> gen_{0};
-  std::atomic<unsigned> done_{0};
-  std::atomic<bool> shutdown_{false};
+  ExecContext exec_;
 };
 
 }  // namespace ragnar::sim

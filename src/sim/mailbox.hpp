@@ -12,11 +12,7 @@
 //
 // During a window, each shard appends every engine-mediated event it
 // generates to its own outbox row — one slot vector per destination shard.
-// A row is written by exactly one thread (the worker executing that shard)
-// and drained by the coordinator after the window barrier, so the handoff
-// needs no locks and no per-slot atomics: the barrier's release/acquire
-// edge is the only synchronization, the mailbox itself is plain memory
-// with a single writer per window.
+// The rows are drained into the destination queues at the window barrier.
 //
 // Determinism does not come from the drain *visit* order but from an
 // explicit shard-independent sort key.  Every slot carries the origin key

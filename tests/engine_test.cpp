@@ -3,21 +3,21 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <utility>
 #include <vector>
 
-#include "sim/concurrency.hpp"
+#include "harness/harness.hpp"
 #include "sim/coro.hpp"
 #include "sim/engine.hpp"
 #include "sim/scheduler.hpp"
-#include "sim/sharded.hpp"
 #include "sim/time.hpp"
 
 // The sim::Engine facade contract (docs/ENGINE.md): legacy mode is
 // event-for-event identical to a raw Scheduler; windowed mode executes the
 // same event set for any shard count, exchanging cross-shard events through
-// (at, origin)-ordered mailboxes; and every thread pool leases its workers
-// from the process-wide ConcurrencyBudget.
+// (at, origin)-ordered mailboxes, each window's shards running in order on
+// the calling thread.
 namespace ragnar::sim {
 namespace {
 
@@ -174,7 +174,6 @@ TEST(EngineWindowedDeathTest, LookaheadViolationAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
-        ConcurrencyBudget::instance().set_total(1);  // keep the child serial
         Engine::Options opts;
         opts.shards = 2;
         Engine eng(opts);
@@ -188,121 +187,68 @@ TEST(EngineWindowedDeathTest, LookaheadViolationAborts) {
       "lookahead violation");
 }
 
-// Heavy cross-shard traffic with a real worker pool: 64 token chains over 4
-// shards, every hop crossing a shard boundary through the mailboxes.  Run
-// under tsan this is the data-race probe for the parallel window path (the
-// CI tsan job runs it with the rest of this suite).
+// Heavy cross-shard traffic: 64 token chains over 4 shards, every hop
+// crossing a shard boundary through the mailboxes.  Every hop must run
+// exactly once, on the shard it was posted to.
 TEST(EngineWindowed, MailboxStressUnderParallelWorkers) {
-  ConcurrencyBudget& budget = ConcurrencyBudget::instance();
-  budget.set_total(4);  // decouple the pool size from the host's cores
-  {
-    Engine::Options opts;
-    opts.shards = 4;
-    Engine eng(opts);
-    EXPECT_EQ(eng.workers(), 4u);
-    EXPECT_EQ(budget.leased(), 4u);
-    eng.constrain_lookahead(ns(10));
+  Engine::Options opts;
+  opts.shards = 4;
+  Engine eng(opts);
+  eng.constrain_lookahead(ns(10));
 
-    constexpr int kChains = 64;
-    constexpr int kHops = 200;
-    PerShardSlots<std::uint64_t> executed;
-    executed.reset(4, 1);
-    std::function<void(int, int)> hop = [&](int chain, int hops) {
-      executed.at(eng.current_shard(), 0) += 1;
-      if (hops == 0) return;
-      eng.post(static_cast<ShardId>((chain + kHops - hops + 1) % 4),
-               eng.local_now() + eng.lookahead(), chain,
-               [&hop, chain, hops] { hop(chain, hops - 1); });
-    };
-    for (int c = 0; c < kChains; ++c) {
-      eng.shard(static_cast<ShardId>(c % 4))
-          .at(ns(1), [&hop, c] { hop(c, kHops); });
+  constexpr int kChains = 64;
+  constexpr int kHops = 200;
+  std::vector<std::vector<int>> seen(kChains);  // hops left, per execution
+  std::function<void(int, int)> hop = [&](int chain, int hops) {
+    EXPECT_EQ(eng.current_shard(),
+              static_cast<ShardId>((chain + kHops - hops) % 4));
+    seen[chain].push_back(hops);
+    if (hops == 0) return;
+    eng.post(static_cast<ShardId>((chain + kHops - hops + 1) % 4),
+             eng.local_now() + eng.lookahead(), chain,
+             [&hop, chain, hops] { hop(chain, hops - 1); });
+  };
+  for (int c = 0; c < kChains; ++c) {
+    eng.shard(static_cast<ShardId>(c % 4))
+        .at(ns(1), [&hop, c] { hop(c, kHops); });
+  }
+  eng.run_until_idle();
+
+  std::vector<int> every_hop;
+  for (int h = kHops; h >= 0; --h) every_hop.push_back(h);
+  for (int c = 0; c < kChains; ++c) {
+    EXPECT_EQ(seen[c], every_hop) << "chain " << c;
+  }
+  EXPECT_GE(eng.mail_delivered(),
+            static_cast<std::uint64_t>(kChains) * kHops);
+}
+
+// Trial-level parallelism is what remains: two windowed worlds on two
+// SweepRunner workers at once must each produce exactly the serial run's
+// output.  Run under tsan this is the data-race probe for engines living
+// side by side on different threads.
+TEST(EngineWindowed, ConcurrentWorldsOnSweepWorkersMatchSerial) {
+  const auto run = [](std::size_t jobs) {
+    harness::SweepRunner sweep;
+    std::vector<std::array<EventLog, 4>> logs(4);
+    for (std::uint32_t t = 0; t < logs.size(); ++t) {
+      sweep.add("ring" + std::to_string(t),
+                [&logs, t](harness::TrialContext&) {
+                  logs[t] = run_ring(1 + t % 4);
+                  return harness::Record{};
+                });
     }
-    eng.run_until_idle();
-
-    EXPECT_EQ(executed.sum(0),
-              static_cast<std::uint64_t>(kChains) * (kHops + 1));
-    EXPECT_GE(eng.mail_delivered(),
-              static_cast<std::uint64_t>(kChains) * kHops);
+    harness::SweepRunner::Options o;
+    o.jobs = jobs;
+    EXPECT_EQ(sweep.run(o).jobs, jobs);
+    return logs;
+  };
+  const auto serial = run(1);
+  const auto parallel = run(2);
+  for (std::size_t t = 0; t < serial.size(); ++t) {
+    EXPECT_EQ(serial[t], parallel[t]) << "trial " << t;
+    EXPECT_EQ(serial[t], serial[0]) << "trial " << t;
   }
-  EXPECT_EQ(budget.leased(), 0u);  // the engine's lease died with it
-  budget.set_total(0);
-}
-
-// --- ConcurrencyBudget ----------------------------------------------------
-
-TEST(ConcurrencyBudget, SerialFloorIsFreeAndGrantsNeverBlock) {
-  ConcurrencyBudget& b = ConcurrencyBudget::instance();
-  b.set_total(4);
-  ConcurrencyBudget::Lease big = b.acquire(4);
-  EXPECT_EQ(big.workers(), 4u);
-  EXPECT_EQ(b.leased(), 4u);
-  // Budget exhausted: further acquires degrade to the (uncharged) serial
-  // floor instead of blocking.
-  ConcurrencyBudget::Lease nested = b.acquire(8);
-  EXPECT_EQ(nested.workers(), 1u);
-  EXPECT_EQ(b.leased(), 4u);
-  big.release();
-  EXPECT_EQ(b.leased(), 0u);
-  ConcurrencyBudget::Lease again = b.acquire(8);
-  EXPECT_EQ(again.workers(), 4u);  // capped at the budget total
-  again.release();
-  b.set_total(0);
-}
-
-TEST(ConcurrencyBudget, ExactRequestsOverrideTheCapButAreCharged) {
-  ConcurrencyBudget& b = ConcurrencyBudget::instance();
-  b.set_total(2);
-  // An explicit --jobs value may oversubscribe: results are bit-identical
-  // for any worker count, so the machine is the user's to burn.
-  ConcurrencyBudget::Lease exact = b.acquire(6, /*exact=*/true);
-  EXPECT_EQ(exact.workers(), 6u);
-  EXPECT_EQ(b.leased(), 6u);
-  // ...but implicit pools nested under it still see an empty budget.
-  ConcurrencyBudget::Lease nested = b.acquire(4);
-  EXPECT_EQ(nested.workers(), 1u);
-  exact.release();
-  b.set_total(0);
-}
-
-TEST(ConcurrencyBudget, WantZeroAsksForTheFullBudget) {
-  ConcurrencyBudget& b = ConcurrencyBudget::instance();
-  b.set_total(3);
-  ConcurrencyBudget::Lease all = b.acquire(0);
-  EXPECT_EQ(all.workers(), 3u);
-  all.release();
-  b.set_total(0);
-}
-
-TEST(ConcurrencyBudget, LeaseIsMoveOnlyRaii) {
-  ConcurrencyBudget& b = ConcurrencyBudget::instance();
-  b.set_total(4);
-  {
-    ConcurrencyBudget::Lease a = b.acquire(3);
-    ConcurrencyBudget::Lease moved = std::move(a);
-    EXPECT_EQ(moved.workers(), 3u);
-    EXPECT_EQ(b.leased(), 3u);
-  }
-  EXPECT_EQ(b.leased(), 0u);  // destructor released the moved-to lease once
-  b.set_total(0);
-}
-
-// --- PerShardSlots --------------------------------------------------------
-
-TEST(PerShardSlots, FoldsAcrossShardsAndGrowsPreservingCounts) {
-  PerShardSlots<std::uint64_t> slots;
-  slots.reset(3, 2);
-  slots.at(0, 0) = 5;
-  slots.at(1, 0) = 7;
-  slots.at(2, 1) = 11;
-  EXPECT_EQ(slots.sum(0), 12u);
-  EXPECT_EQ(slots.sum(1), 11u);
-  slots.resize_slots(4);  // grow (a new link registered mid-build)
-  EXPECT_EQ(slots.sum(0), 12u);
-  EXPECT_EQ(slots.sum(1), 11u);
-  EXPECT_EQ(slots.sum(3), 0u);
-  slots.at(2, 3) = 1;
-  EXPECT_EQ(slots.sum(3), 1u);
 }
 
 }  // namespace

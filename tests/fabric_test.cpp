@@ -341,7 +341,7 @@ MetricsRun run_instrumented_fabric(std::uint32_t shards) {
             LinkSpec::symmetric(sim::ns(500), 25.0));
   auto topo = b.build();
   faults::FaultPlan plan = faults::FaultPlan::uniform_loss(0.02, 11);
-  plan.per_link_rng = true;  // shard-safe: keeps the windows parallel
+  plan.per_link_rng = true;  // verdicts are shard-count invariant
   topo->set_fault_plan(plan);
 
   std::vector<std::unique_ptr<verbs::Context>> ctx;

@@ -418,12 +418,12 @@ TEST(FramedCovert, FramingBeatsRawDecodingAtTwoPercentLoss) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-link RNG streams: shard invariance and serial-window relaxation
+// Per-link RNG streams: shard invariance
 // ---------------------------------------------------------------------------
 
 // Every directed link draws from its own seeded stream, so the verdict
 // sequence depends only on (seed, link, that link's message order) — the
-// property that lets an armed plan run with parallel shard windows.
+// property that makes an armed plan's verdicts shard-count invariant.
 TEST(FaultInjectorPerLink, VerdictsDependOnlyOnPerLinkOrder) {
   FaultPlan plan = FaultPlan::uniform_loss(0.3, 17);
   plan.reorder_p = 0.2;
@@ -433,8 +433,6 @@ TEST(FaultInjectorPerLink, VerdictsDependOnlyOnPerLinkOrder) {
   // messages first, then all of link 1's.  A shared stream would give the
   // two interleavings different verdicts; per-link streams must not.
   FaultInjector a{plan}, b{plan};
-  a.reserve_links(2);
-  b.reserve_links(2);
   std::vector<Verdict> a0, a1, b0, b1;
   for (int i = 0; i < 500; ++i) {
     a0.push_back(a.decide(hop(0), 0, sim::us(i)).verdict);
@@ -458,17 +456,15 @@ TEST(FaultInjectorPerLink, VerdictsDependOnlyOnPerLinkOrder) {
 
 namespace shard_invariance {
 
-// Two racks, one 25G uplink, a faulted fabric, and an open-loop burst of
-// reliable WRITEs from each rack-0 host to its rack-1 peer.  Returns
-// everything observable: completion records, fault stats, and whether the
-// engine was forced into serial windows.
+// Two racks, one 25G uplink, a fabric faulted by a per-link plan, and an
+// open-loop burst of reliable WRITEs from each rack-0 host to its rack-1
+// peer.  Returns everything observable: completion records and fault stats.
 struct FabricRun {
   std::vector<std::tuple<std::uint64_t, int, sim::SimTime>> completions;
   faults::FaultStats stats;
-  bool serial = false;
 };
 
-FabricRun run_faulted_fabric(std::size_t shards, bool per_link) {
+FabricRun run_faulted_fabric(std::size_t shards) {
   sim::Engine eng(sim::Engine::Options{static_cast<std::uint32_t>(shards),
                                        sim::kMillisecond});
   const auto rack1 = static_cast<sim::ShardId>(1 % shards);
@@ -498,7 +494,7 @@ FabricRun run_faulted_fabric(std::size_t shards, bool per_link) {
   plan.drop_p = 0.03;
   plan.corrupt_p = 0.01;
   plan.reorder_p = 0.05;
-  plan.per_link_rng = per_link;
+  plan.per_link_rng = true;
   topo->set_fault_plan(plan);
 
   std::vector<std::unique_ptr<verbs::Context>> ctx;
@@ -546,7 +542,6 @@ FabricRun run_faulted_fabric(std::size_t shards, bool per_link) {
   }
 
   FabricRun out;
-  out.serial = eng.serial_windows();
   eng.run_until(sim::ms(20));
   for (Conn* c : {&c02, &c13}) {
     verbs::Wc wc;
@@ -561,18 +556,14 @@ FabricRun run_faulted_fabric(std::size_t shards, bool per_link) {
 
 }  // namespace shard_invariance
 
-// The satellite contract: an armed per-link plan is byte-identical across
-// shard counts (and no longer forces serial windows), while a shared-stream
-// plan still does force them.
+// An armed per-link plan is byte-identical across shard counts.
 TEST(FaultInjectorPerLink, ArmedPlanIsShardCountInvariant) {
   using shard_invariance::run_faulted_fabric;
-  const auto one = run_faulted_fabric(1, true);
-  EXPECT_FALSE(one.serial);
+  const auto one = run_faulted_fabric(1);
   EXPECT_GT(one.stats.total_lost(), 0u) << "plan never fired";
   EXPECT_FALSE(one.completions.empty());
   for (std::size_t shards : {2u, 3u}) {
-    const auto many = run_faulted_fabric(shards, true);
-    EXPECT_FALSE(many.serial);
+    const auto many = run_faulted_fabric(shards);
     EXPECT_EQ(one.completions, many.completions) << shards << " shards";
     EXPECT_EQ(one.stats.delivered, many.stats.delivered) << shards;
     EXPECT_EQ(one.stats.dropped, many.stats.dropped) << shards;
@@ -582,11 +573,6 @@ TEST(FaultInjectorPerLink, ArmedPlanIsShardCountInvariant) {
     EXPECT_EQ(one.stats.ge_steps, many.stats.ge_steps) << shards;
     EXPECT_EQ(one.stats.ge_bad_steps, many.stats.ge_bad_steps) << shards;
   }
-}
-
-TEST(FaultInjectorPerLink, SharedStreamPlansStillForceSerialWindows) {
-  const auto shared = shard_invariance::run_faulted_fabric(2, false);
-  EXPECT_TRUE(shared.serial);
 }
 
 }  // namespace

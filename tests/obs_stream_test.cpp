@@ -103,7 +103,9 @@ TEST(GkSketch, MillionSamplesStayUnderTupleCap) {
   for (std::uint64_t i = 0; i < 1'000'000; ++i) {
     sk.insert(static_cast<double>(i));
     if (i == 100'000) footprint_at_100k = sk.footprint_bytes();
-    if ((i & 0xffff) == 0) ASSERT_LE(sk.tuples(), 256u) << "at insert " << i;
+    if ((i & 0xffff) == 0) {
+      ASSERT_LE(sk.tuples(), 256u) << "at insert " << i;
+    }
   }
   EXPECT_EQ(sk.count(), 1'000'000u);
   EXPECT_LE(sk.tuples(), 256u);
@@ -167,8 +169,8 @@ TEST(StreamSink, MergeSortsByTimeAndKeepsShardOrderOnTies) {
 namespace {
 
 // Publish a deterministic sample pattern from every node of a windowed
-// engine (per-shard hubs, possibly parallel worker threads) and return the
-// merged sequence the parent hub observes.
+// engine (per-shard hubs) and return the merged sequence the parent hub
+// observes.
 std::vector<obs::StreamSample> run_engine_stream(std::uint32_t shards) {
   obs::Hub::Config hcfg;
   hcfg.streaming = true;
@@ -264,9 +266,8 @@ TEST(EngineStream, EnforcementAuditIsShardCountInvariant) {
   EXPECT_EQ(sink.peek(obs::StreamChannel::kEnforcement).size(), 0u);
 }
 
-// The tsan target: shards=4 runs the publish callbacks on the engine's
-// worker pool, each thread writing its own shard sink; the merged sequence
-// must be byte-identical to the single-shard run.
+// Each shard publishes into its own shard sink; the merged sequence must
+// be byte-identical to the single-shard run.
 TEST(EngineStream, MergedSampleSequenceIsShardCountInvariant) {
   const std::vector<obs::StreamSample> one = run_engine_stream(1);
   ASSERT_EQ(one.size(), 400u);

@@ -343,6 +343,29 @@ TEST(Cli, JsonHoldsEverySweepOfAScenario) {
   std::remove(path.c_str());
 }
 
+// A scenario that runs no sweep still leaves a --json file: an empty trial
+// list, with a stderr note, and stdout exactly as without --json.
+TEST(Cli, JsonOfASweeplessScenarioIsAnEmptyList) {
+  const std::string path = testing::TempDir() + "scenario_test_fig05.json";
+  std::remove(path.c_str());
+  testing::internal::CaptureStdout();
+  testing::internal::CaptureStderr();
+  const int rc = cli({"run", "fig05_uli_inter_mr", "--json", path.c_str()});
+  const std::string out = testing::internal::GetCapturedStdout();
+  const std::string err = testing::internal::GetCapturedStderr();
+  ASSERT_EQ(rc, 0);
+  EXPECT_EQ(out, kFig05QuickGolden);
+  EXPECT_NE(err.find("[harness] no sweep ran: " + path + " holds no trials"),
+            std::string::npos)
+      << err;
+  std::ifstream in(path);
+  ASSERT_TRUE(in) << path;
+  const std::string json((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_EQ(json, "[]\n");
+  std::remove(path.c_str());
+}
+
 TEST(Cli, SeedChangesOutput) {
   testing::internal::CaptureStdout();
   testing::internal::CaptureStderr();
